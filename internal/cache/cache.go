@@ -19,7 +19,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"adcc/internal/mem"
 	"adcc/internal/sim"
@@ -163,6 +163,17 @@ type Cache struct {
 	// memory proportional to the address.
 	wayOf []uint32
 
+	// Occupancy index: one bit per way, set when the way turns dirty
+	// (dirtyBits) or valid (fillBits), so enumerating the dirty lines
+	// and discarding the cache visit the marked ways instead of every
+	// way. Like wayOf the bitmaps are lazy — nothing clears a bit when a
+	// way is cleaned, evicted or invalidated; whoever walks a bitmap
+	// checks each marked way's own bits, which are the source of truth,
+	// and unmarks the stale ones. A set bit therefore means "may be",
+	// a clear bit "is not".
+	dirtyBits []uint64
+	fillBits  []uint64
+
 	// MRU memo: the way that served the most recent hit or fill.
 	// Element accesses touch the same 64-byte line several times in a
 	// row (and selective flushes target the just-written line), so this
@@ -203,6 +214,8 @@ func New(cfg Config, clock *sim.Clock, memory CostModel, sink WritebackSink) *Ca
 		sink:    sink,
 		streams: make([]uint64, cfg.PrefetchStreams),
 	}
+	c.dirtyBits = make([]uint64, (len(c.ways)+63)/64)
+	c.fillBits = make([]uint64, len(c.dirtyBits))
 	if cfg.LineBytes&(cfg.LineBytes-1) == 0 {
 		c.pow2Line = true
 		c.lineShift = uint(bits.TrailingZeros64(uint64(cfg.LineBytes)))
@@ -351,6 +364,46 @@ func (c *Cache) setDir(ln uint64, wi uint64) {
 	c.wayOf[ln] = uint32(wi) + 1
 }
 
+// dirtyHit is the hit path's clean-to-dirty transition of resident line
+// ln in way w. It is kept out of line so the hit path carries only the
+// test: the way's index comes from the directory entry, or a set scan
+// for lines past the directory bound.
+//
+//go:noinline
+func (c *Cache) dirtyHit(w *way, ln uint64) {
+	w.dirty = true
+	if ln < dirMaxLines {
+		mark(c.dirtyBits, uint64(c.wayOf[ln])-1)
+		return
+	}
+	base := c.setBase(ln)
+	for i := uint64(0); i < uint64(c.cfg.Assoc); i++ {
+		if &c.ways[base+i] == w {
+			mark(c.dirtyBits, base+i)
+			return
+		}
+	}
+}
+
+// mark sets way wi's bit in an occupancy bitmap.
+func mark(bm []uint64, wi uint64) { bm[wi>>6] |= 1 << (wi & 63) }
+
+// dirtyWays calls visit with the index of every way that is valid and
+// dirty now, in way order, and unmarks the ways that no longer are.
+func (c *Cache) dirtyWays(visit func(wi int)) {
+	for i, word := range c.dirtyBits {
+		for rest := word; rest != 0; rest &= rest - 1 {
+			wi := i<<6 | bits.TrailingZeros64(rest)
+			if w := &c.ways[wi]; w.valid && w.dirty {
+				visit(wi)
+			} else {
+				word &^= 1 << (wi & 63)
+			}
+		}
+		c.dirtyBits[i] = word
+	}
+}
+
 // Load implements mem.Accessor.
 func (c *Cache) Load(a mem.Addr, size int) {
 	c.stats.Loads++
@@ -374,8 +427,8 @@ func (c *Cache) access(a mem.Addr, size int, store bool) {
 		// Hit path, inlined: O(1) via the MRU memo / line directory.
 		if w := c.lookupWay(ln); w != nil {
 			w.use = c.tick
-			if store {
-				w.dirty = true
+			if store && !w.dirty {
+				c.dirtyHit(w, ln)
 			}
 			c.stats.LineHits++
 			c.clock.Advance(c.cfg.HitNS)
@@ -397,6 +450,7 @@ func (c *Cache) missLine(ln uint64, store bool) {
 		w := &set[i]
 		if !w.valid {
 			victim, vi = w, uint64(i)
+			mark(c.fillBits, base+vi)
 			break
 		}
 		if w.use < victim.use {
@@ -415,6 +469,9 @@ func (c *Cache) missLine(ln uint64, store bool) {
 		c.clock.Advance(c.readSeqCost(c.lineAddr(ln)))
 	} else {
 		c.clock.Advance(c.readCost(c.lineAddr(ln)))
+	}
+	if store {
+		mark(c.dirtyBits, base+vi)
 	}
 	victim.tag = ln
 	victim.valid = true
@@ -569,21 +626,23 @@ func (c *Cache) flushOptResident(w *way, ln uint64) {
 // clean. It models a full cache drain (e.g. before a planned shutdown)
 // and is used by tests to force a consistent image.
 func (c *Cache) WritebackAll() {
-	for i := range c.ways {
-		w := &c.ways[i]
-		if w.valid && w.dirty {
-			c.evict(w)
-		}
-	}
+	// Way order, as write combining prices consecutive lines.
+	c.dirtyWays(func(wi int) { c.evict(&c.ways[wi]) })
 }
 
 // DiscardAll models the crash: every line vanishes without writeback.
 // Dirty data that never reached NVM is lost, exactly as on real hardware
 // with volatile caches.
 func (c *Cache) DiscardAll() {
-	for i := range c.ways {
-		c.ways[i] = way{}
+	// A way fillBits does not mark has been invalid since the last
+	// discard.
+	for i, word := range c.fillBits {
+		for ; word != 0; word &= word - 1 {
+			c.ways[i<<6|bits.TrailingZeros64(word)] = way{}
+		}
 	}
+	clear(c.fillBits)
+	clear(c.dirtyBits)
 	// Directory entries need no clearing: every lookup re-validates
 	// against the (now invalid) ways.
 }
@@ -670,6 +729,16 @@ func (c *Cache) Restore(st *State) {
 			len(st.ways), len(c.ways)))
 	}
 	copy(c.ways, st.ways)
+	clear(c.fillBits)
+	clear(c.dirtyBits)
+	for i := range c.ways {
+		if w := &c.ways[i]; w.valid {
+			mark(c.fillBits, uint64(i))
+			if w.dirty {
+				mark(c.dirtyBits, uint64(i))
+			}
+		}
+	}
 	c.wayOf = growU32(c.wayOf, len(st.wayOf))
 	copy(c.wayOf, st.wayOf)
 	if len(c.streams) != len(st.streams) {
@@ -749,24 +818,22 @@ func (c *Cache) Contains(a mem.Addr) (resident, dirty bool) {
 // tear. Sorting makes the result independent of set/way layout, which
 // the byte-determinism of fault overlays depends on.
 func (c *Cache) DirtyLineAddrs() []mem.Addr {
-	var addrs []mem.Addr
-	for i := range c.ways {
-		w := &c.ways[i]
-		if w.valid && w.dirty {
-			addrs = append(addrs, c.lineAddr(w.tag))
-		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	addrs := c.AppendDirtyLineAddrs(nil)
+	slices.Sort(addrs)
 	return addrs
+}
+
+// AppendDirtyLineAddrs appends the dirty-line addresses to dst in way
+// order — unsorted — for a caller that asks at every crash point,
+// reuses one buffer, and may need less than a full sort.
+func (c *Cache) AppendDirtyLineAddrs(dst []mem.Addr) []mem.Addr {
+	c.dirtyWays(func(wi int) { dst = append(dst, c.lineAddr(c.ways[wi].tag)) })
+	return dst
 }
 
 // DirtyLines returns the number of dirty lines currently resident.
 func (c *Cache) DirtyLines() int {
 	n := 0
-	for i := range c.ways {
-		if c.ways[i].valid && c.ways[i].dirty {
-			n++
-		}
-	}
+	c.dirtyWays(func(int) { n++ })
 	return n
 }

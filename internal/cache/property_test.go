@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"adcc/internal/mem"
@@ -189,6 +190,25 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 					t.Fatalf("cfg %d seed %d step %d: DirtyLines %d, ref %d", ci, seed, step, got, want)
 				}
 			}
+			// The occupancy index is lazy, so it is checked after every
+			// op, in whatever state of staleness the op left it: the
+			// enumeration must equal a scan of the ways. Odd seeds ask only
+			// every fifth op, so stale and repeated entries pile up between
+			// walks as they do between crash points.
+			checkIndex := func(step int) {
+				t.Helper()
+				if seed%2 == 1 && step%5 != 0 {
+					return
+				}
+				want := scanDirty(c)
+				if got := c.DirtyLineAddrs(); !slices.Equal(got, want) {
+					t.Fatalf("cfg %d seed %d step %d: DirtyLineAddrs %v, way scan %v", ci, seed, step, got, want)
+				}
+				if got := c.DirtyLines(); got != len(want) {
+					t.Fatalf("cfg %d seed %d step %d: DirtyLines %d, way scan %d", ci, seed, step, got, len(want))
+				}
+			}
+			var saved *State
 
 			for i := 0; i < ops; i++ {
 				a := mem.Addr(rng.Intn(addrLines * cfg.LineBytes))
@@ -206,13 +226,21 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 				case p < 96:
 					c.FlushOpt(a, size)
 					ref.flush(a, size, true)
-				case p < 98:
+				case p < 97:
 					c.WritebackAll()
 					ref.writebackAll()
+				case p < 98:
+					// Restore rebuilds the index from the ways it installs:
+					// scramble the cache in between so nothing carries over.
+					saved = c.Snapshot(saved)
+					c.DiscardAll()
+					c.Store(a, size)
+					c.Restore(saved)
 				default:
 					c.DiscardAll()
 					ref.discardAll()
 				}
+				checkIndex(i)
 				if i%251 == 0 {
 					check(i)
 				}
@@ -230,4 +258,67 @@ func refDirty(r *refCache) int {
 		}
 	}
 	return n
+}
+
+// scanDirty is the brute-force enumeration the occupancy index replaces:
+// every way, sorted by line address.
+func scanDirty(c *Cache) []mem.Addr {
+	var addrs []mem.Addr
+	for i := range c.ways {
+		if w := &c.ways[i]; w.valid && w.dirty {
+			addrs = append(addrs, c.lineAddr(w.tag))
+		}
+	}
+	slices.Sort(addrs)
+	return addrs
+}
+
+// TestOccupancyIndexStaleMarksAndWildLines covers what the random
+// streams do not reach: marks left behind by many dirty-and-flush rounds
+// are dropped by the next walk, a dirty line past the directory bound is
+// still enumerated, and DiscardAll clears exactly what was filled.
+func TestOccupancyIndexStaleMarksAndWildLines(t *testing.T) {
+	cfg := Config{SizeBytes: 1 << 10, LineBytes: 64, Assoc: 4, HitNS: 1}
+	c := New(cfg, &sim.Clock{}, nvm.NewUniform(nvm.DRAMLikeNVM()), nil)
+
+	for i := 0; i < 3*len(c.ways); i++ {
+		c.Store(mem.Addr(64*(1+i%7)), 8)
+		c.Flush(mem.Addr(64*(1+i%7)), 8)
+	}
+	if got := c.DirtyLineAddrs(); len(got) != 0 {
+		t.Fatalf("DirtyLineAddrs after flushing everything = %v", got)
+	}
+	for _, word := range c.dirtyBits {
+		if word != 0 {
+			t.Fatalf("the walk left stale marks behind: %#x", c.dirtyBits)
+		}
+	}
+	c.Store(128, 8)
+	c.Store(64, 8)
+	wild := mem.Addr(dirMaxLines+5) * 64
+	c.Store(wild, 8)
+	c.Load(192, 8)
+	want := []mem.Addr{64, 128, wild}
+	if got := c.DirtyLineAddrs(); !slices.Equal(got, want) {
+		t.Fatalf("DirtyLineAddrs = %v, want %v", got, want)
+	}
+	// A wild line dirtied again by a store hit is found through the set
+	// scan, not the directory.
+	c.FlushOpt(wild, 8)
+	if got := c.DirtyLines(); got != 2 {
+		t.Fatalf("DirtyLines after CLWB of the wild line = %d, want 2", got)
+	}
+	c.Store(wild, 8)
+	if got := c.DirtyLineAddrs(); !slices.Equal(got, want) {
+		t.Fatalf("DirtyLineAddrs after CLWB+store of the wild line = %v, want %v", got, want)
+	}
+	c.DiscardAll()
+	for i := range c.ways {
+		if c.ways[i] != (way{}) {
+			t.Fatalf("way %d survived DiscardAll: %+v", i, c.ways[i])
+		}
+	}
+	if c.DirtyLines() != 0 {
+		t.Fatal("DiscardAll left dirty lines behind")
+	}
 }

@@ -835,9 +835,9 @@ func runCellReplay(cfg Config, p plan) []InjectionRow {
 	// when the version did move (or a fault model is active),
 	// CrashSnapshotFault copies only the regions and aux components
 	// whose own counters moved (copy-on-write against the previous
-	// capture) and attaches the point's overlay; and an FNV prefilter —
-	// overlay mixed in — avoids most content comparisons when merging
-	// against older classes.
+	// capture) and attaches the point's overlay; and a content-hash
+	// prefilter — overlay mixed in — avoids most content comparisons when
+	// merging against older classes.
 	fm := p.Cell.fault(cfg.Seed)
 	var classes []*snapClass
 	byHash := map[uint64][]int{}

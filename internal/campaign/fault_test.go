@@ -2,8 +2,13 @@ package campaign
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
+
+	"adcc/internal/crash"
+	"adcc/internal/engine"
+	"adcc/internal/mem"
 )
 
 // faultConfig is a CI-sized campaign sweeping every fault model over a
@@ -157,6 +162,58 @@ func TestFaultReplayDifferential(t *testing.T) {
 	for _, c := range legacy.Cells {
 		if got := c.Clean + c.Recomputed + c.Corrupt + c.Unrecoverable + c.NoCrash; got != c.Injections {
 			t.Errorf("%s: outcomes sum to %d, want %d", c.Key(), got, c.Injections)
+		}
+	}
+}
+
+// TestCorruptLogHeadClassifiesUnrecoverable: the undo log's entry count
+// is read from the persistent image, and a bit flip can make it
+// anything. A head word of 1<<40 must classify as unrecoverable — it
+// once sized an allocation that killed the process with an
+// out-of-memory error no recover() can catch — and so must a negative
+// one, both without allocating to match.
+func TestCorruptLogHeadClassifiesUnrecoverable(t *testing.T) {
+	cfg := Config{Scale: 0.05, Workloads: []string{"kvlog"}, Schemes: []string{engine.SchemePMEM}}
+	cells, err := cfg.cells()
+	if err != nil {
+		t.Fatalf("cells: %v", err)
+	}
+	cl := cells[0]
+	as := newAssets(cl.Workload, cfg)
+	m := cl.newMachine()
+	em := crash.NewEmulator(m)
+	w := cl.newWorkload(cfg, as)
+	if err := w.Prepare(m, em); err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	prof := em.Profile(func() { w.Run(w.Start()) })
+	p := plan{Cell: cl, Assets: as, Profile: prof}
+
+	var head mem.Region
+	for _, r := range m.Heap.Regions() {
+		if r.Name() == "pmem.log.head" {
+			head = r
+		}
+	}
+	if head == nil {
+		t.Fatal("the pmem cell has no undo-log head region")
+	}
+	st := m.CrashSnapshot(nil)
+	f := newForker(cfg, p)
+	for _, n := range []uint64{1 << 40, 1 << 63} {
+		st.Overlay = []crash.FaultWrite{{Addr: head.Base(), Word: n}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := f.run(st)
+		runtime.ReadMemStats(&after)
+		if !res.recoverErr {
+			t.Fatalf("head word %#x: recovery did not fail: %+v", n, res)
+		}
+		if got := expandInjection(res, 1, p).Outcome; got != OutcomeUnrecoverable {
+			t.Errorf("head word %#x classified %v, want %v", n, got, OutcomeUnrecoverable)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 8<<20 {
+			t.Errorf("head word %#x: recovery allocated %d MB", n, grown>>20)
 		}
 	}
 }

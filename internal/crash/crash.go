@@ -107,6 +107,8 @@ type Machine struct {
 	// auxMarks memoizes the last RestoreCrash per aux component so
 	// repeated restores of one snapshot skip untouched components.
 	auxMarks []auxMark
+	// fault is FaultOverlay's scratch (see fault.go).
+	fault faultScratch
 }
 
 // NewMachine builds a platform. The heap's accessor is the LLC, so every

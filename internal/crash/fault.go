@@ -21,9 +21,10 @@
 package crash
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"adcc/internal/mem"
 )
@@ -174,8 +175,7 @@ type FaultWrite struct {
 	Word uint64
 }
 
-// FNV-1a parameters for overlay seed mixing and hash chaining (same
-// construction as internal/mem's content hashes).
+// FNV-1a parameters of the fault lottery's seed derivation.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -189,20 +189,46 @@ func fnvMix64(h, v uint64) uint64 {
 	return h
 }
 
-// faultRNG derives the deterministic per-injection random stream from
-// the model seed and the point seed (in practice the crash op count).
-func faultRNG(seed, pointSeed int64) *rand.Rand {
+// faultSeed derives the seed of the deterministic per-injection random
+// stream from the model seed and the point seed (in practice the crash
+// op count). The stream decides which line tears and what drains, so
+// this derivation is frozen: changing it moves every fault golden.
+func faultSeed(seed, pointSeed int64) int64 {
 	h := fnvMix64(fnvMix64(fnvOffset64, uint64(seed)), uint64(pointSeed))
-	return rand.New(rand.NewSource(int64(h >> 1)))
+	return int64(h >> 1)
+}
+
+// faultScratch is the per-machine working storage of FaultOverlay, kept
+// so that an overlay computed at every crash point of a campaign cell
+// allocates nothing but the overlay it returns.
+type faultScratch struct {
+	rng   *rand.Rand   // reseeded per overlay
+	dirty []mem.Addr   // dirty-line addresses
+	order []int        // reorder model: the drained line indices
+	words []FaultWrite // the overlay under construction
+}
+
+// faultRNG reseeds the machine's generator for one injection. Seeding a
+// reused generator yields the same stream as a freshly built
+// rand.New(rand.NewSource(seed)).
+func (m *Machine) faultRNG(seed, pointSeed int64) *rand.Rand {
+	s := faultSeed(seed, pointSeed)
+	if m.fault.rng == nil {
+		m.fault.rng = rand.New(rand.NewSource(s))
+	} else {
+		m.fault.rng.Seed(s)
+	}
+	return m.fault.rng
 }
 
 // FaultOverlay computes the word-level image mutation model f implies at
 // the machine's current (pre-crash) instant. A nil overlay with a nil
 // error means the model degenerates to clean fail-stop here (always for
 // FailStop; for the dirty-line models when no line is dirty). The
-// overlay never contains a write whose value already equals the image
-// word — models that happen to change nothing are byte-identical to
-// fail-stop, which maximizes snapshot-class sharing in campaign replay.
+// overlay is sorted by address, names each word once, and never contains
+// a write whose value already equals the image word — models that happen
+// to change nothing are byte-identical to fail-stop, which maximizes
+// snapshot-class sharing in campaign replay.
 //
 // The computation reads the dirty-line directory and region contents
 // without simulated accesses or version bumps, so calling it does not
@@ -217,93 +243,157 @@ func (m *Machine) FaultOverlay(f FaultModel, pointSeed int64) ([]FaultWrite, err
 	if f.Kind == FailStop {
 		return nil, nil
 	}
-	words := make(map[mem.Addr]uint64)
-	persistLivePrefix := func(line mem.Addr, k int) {
-		// Words past the owning region's end (line padding) never
-		// existed in the persistence domain; skip them.
-		for i := 0; i < k; i++ {
-			a := line + mem.Addr(8*i)
-			if w, ok := m.Heap.LiveWord(a); ok {
-				words[a] = w
-			}
-		}
+	if f.Kind == BitFlip {
+		return m.bitFlipOverlay(f, pointSeed), nil
 	}
+	// The dirty-line models persist whole lines or a prefix of one, and
+	// a line is named at most once, so walking the chosen lines in
+	// ascending address order emits the overlay already sorted and free
+	// of duplicates. The lottery indexes the address-sorted dirty lines,
+	// which makes it independent of set/way layout.
+	sc := &m.fault
+	sc.dirty = m.LLC.AppendDirtyLineAddrs(sc.dirty[:0])
+	dirty := sc.dirty
+	if len(dirty) == 0 {
+		return nil, nil
+	}
+	sc.words = sc.words[:0]
 	switch f.Kind {
 	case TornLine:
-		dirty := m.LLC.DirtyLineAddrs()
-		if len(dirty) == 0 {
-			return nil, nil
-		}
-		rng := faultRNG(f.Seed, pointSeed)
-		line := dirty[rng.Intn(len(dirty))]
+		// One line of the sorted order is needed, not the order.
+		rng := m.faultRNG(f.Seed, pointSeed)
+		line := nthAddr(dirty, rng.Intn(len(dirty)))
 		k := f.TearWords
 		if k == 0 {
 			k = 1 + rng.Intn(wordsPerLine-1)
 		}
-		persistLivePrefix(line, k)
+		m.persistLivePrefix(line, k)
 	case EADR:
-		for _, line := range m.LLC.DirtyLineAddrs() {
-			persistLivePrefix(line, wordsPerLine)
+		slices.Sort(dirty)
+		for _, line := range dirty {
+			m.persistLivePrefix(line, wordsPerLine)
 		}
 	case ReorderWB:
-		dirty := m.LLC.DirtyLineAddrs()
-		if len(dirty) == 0 {
-			return nil, nil
-		}
-		rng := faultRNG(f.Seed, pointSeed)
-		order := f.ReorderPerm
-		if len(order) == 0 {
-			order = rng.Perm(len(dirty))
+		slices.Sort(dirty)
+		rng := m.faultRNG(f.Seed, pointSeed)
+		sc.order = sc.order[:0]
+		if len(f.ReorderPerm) == 0 {
+			// rng.Perm(len(dirty)), drawn into the scratch buffer.
+			sc.order = slices.Grow(sc.order, len(dirty))[:len(dirty)]
+			for i := range sc.order {
+				j := rng.Intn(i + 1)
+				sc.order[i] = sc.order[j]
+				sc.order[j] = i
+			}
 		} else {
-			for _, idx := range order {
+			for _, idx := range f.ReorderPerm {
 				if idx >= len(dirty) {
 					return nil, fmt.Errorf(
 						"crash: reorder permutation index %d over %d undrained lines",
 						idx, len(dirty))
 				}
 			}
+			sc.order = append(sc.order, f.ReorderPerm...)
 		}
 		// The crash interrupts the out-of-order drain after a seeded
 		// prefix of the permuted order; those lines persist in full.
-		drained := rng.Intn(len(order) + 1)
-		for _, idx := range order[:drained] {
-			persistLivePrefix(dirty[idx], wordsPerLine)
+		drained := sc.order[:rng.Intn(len(sc.order)+1)]
+		slices.Sort(drained)
+		for _, idx := range drained {
+			m.persistLivePrefix(dirty[idx], wordsPerLine)
 		}
-	case BitFlip:
-		flips := f.FlipBits
-		if flips == 0 {
-			flips = 1
+	}
+	if len(sc.words) == 0 {
+		return nil, nil
+	}
+	return slices.Clone(sc.words), nil
+}
+
+// nthAddr returns the element a full ascending sort of s would leave at
+// index k, reordering s only as far as finding it takes (quickselect;
+// the elements are distinct line addresses).
+func nthAddr(s []mem.Addr, k int) mem.Addr {
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		pivot := s[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for s[j] > pivot {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
 		}
-		regions := m.Heap.Regions()
-		var totalWords int64
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return s[k]
+		}
+	}
+	return s[k]
+}
+
+// persistLivePrefix appends to the overlay under construction the first
+// k words of a dirty line whose live value differs from the image. Words
+// past the owning region's end (line padding) never existed in the
+// persistence domain and are skipped.
+func (m *Machine) persistLivePrefix(line mem.Addr, k int) {
+	var live, image [wordsPerLine]uint64
+	k = min(k, m.Heap.LineWords(line, &live, &image))
+	for i := 0; i < k; i++ {
+		if live[i] != image[i] {
+			m.fault.words = append(m.fault.words, FaultWrite{Addr: line + mem.Addr(8*i), Word: live[i]})
+		}
+	}
+}
+
+// bitFlipOverlay draws the seeded single-bit flips of the BitFlip model.
+// Flips land anywhere in the heap and may hit one word twice, so this
+// model alone collects words in a map and sorts them.
+func (m *Machine) bitFlipOverlay(f FaultModel, pointSeed int64) []FaultWrite {
+	flips := f.FlipBits
+	if flips == 0 {
+		flips = 1
+	}
+	regions := m.Heap.Regions()
+	var totalWords int64
+	for _, r := range regions {
+		totalWords += int64(r.Bytes() / 8)
+	}
+	if totalWords == 0 {
+		return nil
+	}
+	words := make(map[mem.Addr]uint64)
+	rng := m.faultRNG(f.Seed, pointSeed)
+	for i := 0; i < flips; i++ {
+		pos := rng.Int63n(totalWords * 64)
+		wordIdx, bit := pos/64, uint(pos%64)
+		var a mem.Addr
 		for _, r := range regions {
-			totalWords += int64(r.Bytes() / 8)
-		}
-		if totalWords == 0 {
-			return nil, nil
-		}
-		rng := faultRNG(f.Seed, pointSeed)
-		for i := 0; i < flips; i++ {
-			pos := rng.Int63n(totalWords * 64)
-			wordIdx, bit := pos/64, uint(pos%64)
-			var a mem.Addr
-			for _, r := range regions {
-				n := int64(r.Bytes() / 8)
-				if wordIdx < n {
-					a = r.Base() + mem.Addr(8*wordIdx)
-					break
-				}
-				wordIdx -= n
+			n := int64(r.Bytes() / 8)
+			if wordIdx < n {
+				a = r.Base() + mem.Addr(8*wordIdx)
+				break
 			}
-			w, ok := words[a]
+			wordIdx -= n
+		}
+		w, ok := words[a]
+		if !ok {
+			w, ok = m.Heap.ImageWord(a)
 			if !ok {
-				w, ok = m.Heap.ImageWord(a)
-				if !ok {
-					continue
-				}
+				continue
 			}
-			words[a] = w ^ (1 << bit)
 		}
+		words[a] = w ^ (1 << bit)
 	}
 	out := make([]FaultWrite, 0, len(words))
 	for a, w := range words {
@@ -313,10 +403,10 @@ func (m *Machine) FaultOverlay(f FaultModel, pointSeed int64) ([]FaultWrite, err
 		out = append(out, FaultWrite{Addr: a, Word: w})
 	}
 	if len(out) == 0 {
-		return nil, nil
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out, nil
+	slices.SortFunc(out, func(a, b FaultWrite) int { return cmp.Compare(a.Addr, b.Addr) })
+	return out
 }
 
 // applyOverlay rewrites the persistent words of a post-crash machine
@@ -352,7 +442,7 @@ func (m *Machine) CrashSnapshotFault(prev *CrashState, f FaultModel, pointSeed i
 	st := m.CrashSnapshot(prev)
 	st.Overlay = ov
 	for _, w := range ov {
-		st.hash = fnvMix64(fnvMix64(st.hash, uint64(w.Addr)), w.Word)
+		st.hash = mem.HashWord(mem.HashWord(st.hash, uint64(w.Addr)), w.Word)
 	}
 	return st, err
 }

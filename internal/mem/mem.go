@@ -271,6 +271,41 @@ func (h *Heap) LiveWord(a Addr) (uint64, bool) {
 	return 0, false
 }
 
+// LineWords reads the cache line at line-aligned address a in one region
+// lookup: the live and image values of its mapped words, as raw bits, land
+// in live[:n] and image[:n], and n is returned. Regions are line aligned,
+// so a line belongs to one region and its mapped words are a prefix — n
+// is short of a full line only on a region's padded tail, and 0 when a is
+// unaligned or unmapped. Like LiveWord and ImageWord it observes without
+// charging an access or bumping counters.
+func (h *Heap) LineWords(a Addr, live, image *[LineSize / 8]uint64) int {
+	if a%LineSize != 0 {
+		return 0
+	}
+	r := h.find(a)
+	if r == nil {
+		return 0
+	}
+	i := int(a-h.lastBase) / 8
+	switch r := r.(type) {
+	case *F64:
+		n := min(LineSize/8, len(r.live)-i)
+		for k := 0; k < n; k++ {
+			live[k] = math.Float64bits(r.live[i+k])
+			image[k] = math.Float64bits(r.image[i+k])
+		}
+		return n
+	case *I64:
+		n := min(LineSize/8, len(r.live)-i)
+		for k := 0; k < n; k++ {
+			live[k] = uint64(r.live[i+k])
+			image[k] = uint64(r.image[i+k])
+		}
+		return n
+	}
+	return 0
+}
+
 // StorePersistWord overwrites both the live and image word at
 // 8-byte-aligned address a with the raw bits w, reporting whether a was
 // mapped. It is the post-crash primitive fault models use to rewrite
@@ -663,29 +698,28 @@ func (a *HeapState) Equal(b *HeapState) bool {
 	return true
 }
 
-// FNV-1a parameters, used for all content hashing in this package.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// hashSeed starts every content-hash chain of this package.
+const hashSeed uint64 = 14695981039346656037
 
-func fnvMix(h, v uint64) uint64 {
-	for s := 0; s < 64; s += 8 {
-		h ^= (v >> s) & 0xff
-		h *= fnvPrime64
-	}
-	return h
+// HashWord folds the 64-bit word v into the running content hash h with
+// one multiply-xorshift round. Content hashes are dedup prefilters only
+// — every Equal they gate goes on to compare contents — so the mix needs
+// to spread differing words, not resist an adversary, and it runs once
+// per word of every image a crash capture copies.
+func HashWord(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }
 
-// ImageHash returns an FNV-1a hash of the persistent images, a cheap
+// ImageHash returns a content hash of the persistent images, a cheap
 // prefilter for ImagesEqual-based deduplication.
 func (a *HeapState) ImageHash() uint64 {
-	h := uint64(fnvOffset64)
+	h := hashSeed
 	for _, v := range a.F64Image {
-		h = fnvMix(h, math.Float64bits(v))
+		h = HashWord(h, math.Float64bits(v))
 	}
 	for _, v := range a.I64Image {
-		h = fnvMix(h, uint64(v))
+		h = HashWord(h, uint64(v))
 	}
 	return h
 }
@@ -705,7 +739,7 @@ type ImageState struct {
 
 // imageRegion is one region's image copy. Exactly one of f64/i64 is
 // populated (matching the region type); ver is the region's image
-// version at capture time and hash is the FNV-1a hash of the contents.
+// version at capture time and hash is the content hash (HashWord chain).
 // An imageRegion is never mutated after SnapshotImages returns it.
 type imageRegion struct {
 	f64  []float64
@@ -722,24 +756,24 @@ type imageRegion struct {
 func (h *Heap) SnapshotImages(prev *ImageState) *ImageState {
 	st := &ImageState{src: h, regions: make([]*imageRegion, len(h.regions))}
 	share := prev != nil && prev.src == h && len(prev.regions) <= len(h.regions)
-	hash := uint64(fnvOffset64)
+	hash := hashSeed
 	for i, r := range h.regions {
 		v := r.versions()
 		if share && i < len(prev.regions) && prev.regions[i].ver == v.imageVer {
 			st.regions[i] = prev.regions[i]
 		} else {
 			e := &imageRegion{ver: v.imageVer}
-			eh := uint64(fnvOffset64)
+			eh := hashSeed
 			switch r := r.(type) {
 			case *F64:
 				e.f64 = append([]float64(nil), r.image...)
 				for _, x := range e.f64 {
-					eh = fnvMix(eh, math.Float64bits(x))
+					eh = HashWord(eh, math.Float64bits(x))
 				}
 			case *I64:
 				e.i64 = append([]int64(nil), r.image...)
 				for _, x := range e.i64 {
-					eh = fnvMix(eh, uint64(x))
+					eh = HashWord(eh, uint64(x))
 				}
 			default:
 				panic(fmt.Sprintf("mem: cannot snapshot region type %T", r))
@@ -747,7 +781,7 @@ func (h *Heap) SnapshotImages(prev *ImageState) *ImageState {
 			e.hash = eh
 			st.regions[i] = e
 		}
-		hash = fnvMix(hash, st.regions[i].hash)
+		hash = HashWord(hash, st.regions[i].hash)
 	}
 	st.hash = hash
 	return st
@@ -813,7 +847,7 @@ func (h *Heap) RestoreImages(st *ImageState) {
 	h.imageVer++
 }
 
-// Hash returns an FNV-1a hash over the per-region content hashes, a
+// Hash returns a hash over the per-region content hashes, a
 // cheap prefilter for Equal-based deduplication.
 func (a *ImageState) Hash() uint64 { return a.hash }
 

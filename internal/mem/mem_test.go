@@ -229,3 +229,44 @@ func TestWritebackRangeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLineWords: one region lookup per line must agree with the
+// word-at-a-time accessors everywhere, including the padded tail of a
+// region's last line, the unmapped lines around the heap, and both
+// region types.
+func TestLineWords(t *testing.T) {
+	h := NewHeap(nil)
+	f := h.AllocF64("f", 11) // second line: 3 words mapped, 5 padding
+	q := h.AllocI64("q", 8)
+	for i := 0; i < f.Len(); i++ {
+		f.Set(i, float64(i)+0.5)
+	}
+	for i := 0; i < q.Len(); i++ {
+		q.Set(i, int64(-i-1))
+	}
+	h.Writeback(f.Addr(0), 16)
+	h.Writeback(q.Addr(4), 8)
+
+	for line := Addr(0); line <= q.Base()+2*LineSize; line += LineSize {
+		var live, image [LineSize / 8]uint64
+		n := h.LineWords(line, &live, &image)
+		for i := 0; i < LineSize/8; i++ {
+			a := line + Addr(8*i)
+			lw, lok := h.LiveWord(a)
+			iw, iok := h.ImageWord(a)
+			if lok != (i < n) || iok != (i < n) {
+				t.Fatalf("line %#x word %d: LineWords maps %d words, LiveWord ok=%v ImageWord ok=%v", line, i, n, lok, iok)
+			}
+			if i < n && (live[i] != lw || image[i] != iw) {
+				t.Fatalf("line %#x word %d: LineWords (%#x, %#x), word accessors (%#x, %#x)", line, i, live[i], image[i], lw, iw)
+			}
+		}
+	}
+	var live, image [LineSize / 8]uint64
+	if n := h.LineWords(f.Base()+LineSize, &live, &image); n != 3 {
+		t.Errorf("padded tail line maps %d words, want 3", n)
+	}
+	if n := h.LineWords(f.Base()+8, &live, &image); n != 0 {
+		t.Errorf("unaligned line address maps %d words, want 0", n)
+	}
+}

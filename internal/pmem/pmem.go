@@ -338,7 +338,13 @@ func (p *Pool) Recover() (rolledBack bool, applied int) {
 		id             int64
 		start, n, vOff int
 	}
-	entries := make([]entry, 0, n)
+	// n comes from an image a fault model may have corrupted: it must not
+	// size an allocation. The log holds at most one entry per header, and
+	// a count past that still panics below, at the end of meta.
+	if n < 0 {
+		panic(fmt.Sprintf("pmem: corrupt log head: %d entries", n))
+	}
+	entries := make([]entry, 0, min(n, p.meta.Len()/metaSlots))
 	mOff, vOff := 0, 0
 	for k := 0; k < n; k++ {
 		hdr := p.meta.LoadRange(mOff, metaSlots)

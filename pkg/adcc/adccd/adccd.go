@@ -327,6 +327,9 @@ func (s *Server) loadState() error {
 		j := newJob(lj.info)
 		switch j.info.Status {
 		case adcc.JobDone, adcc.JobFailed:
+			// Terminal before the restart: an event stream opened on it
+			// now has only its done frame to send.
+			j.finishLocked()
 			s.mu.Lock()
 			s.registerLoadedLocked(j)
 			s.mu.Unlock()

@@ -525,3 +525,51 @@ func TestStoreArtifactPersistsAndEvicts(t *testing.T) {
 	}
 	srv2.Close()
 }
+
+// TestEventsOfJobLoadedAfterRestart: a job that finished before the
+// server was restarted is registered from the state directory with no
+// event history, and an event stream opened on it must end with its
+// terminal done frame at once instead of waiting for a wake-up that
+// never comes.
+func TestEventsOfJobLoadedAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := New(Config{StateDir: dir, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := srv.Submit(tinySpec(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, srv, info.ID)
+	srv.Close()
+
+	srv2, err := New(Config{StateDir: dir, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	ts := httptest.NewServer(srv2.Handler())
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	var frames []adcc.StreamEvent
+	err = adccclient.New(ts.URL, nil).Events(ctx, info.ID, -1, func(e adcc.StreamEvent) error {
+		frames = append(frames, e)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Events on a job loaded after restart: %v", err)
+	}
+	if len(frames) != 1 || frames[0].Type != "done" {
+		t.Fatalf("frames %+v, want exactly the done frame", frames)
+	}
+	var final adcc.JobInfo
+	if err := json.Unmarshal(frames[0].Data, &final); err != nil {
+		t.Fatal(err)
+	}
+	if final.ID != info.ID || final.Status != adcc.JobDone {
+		t.Errorf("done frame carries %+v, want finished job %s", final, info.ID)
+	}
+}
