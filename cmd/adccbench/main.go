@@ -68,7 +68,6 @@ func main() {
 		listOnly  = flag.Bool("list", false, "list available experiments and exit")
 		asCSV     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		benchMode = flag.Bool("bench", false, "run the benchmark suite (kernels + timed experiments) and emit machine-readable results")
-		replay    = flag.Bool("replay", false, "run campaigns on the snapshot/fork replay engine (identical report, far less wall time)")
 		faultFlag = flag.String("fault", "", "comma-separated crash-time fault models the campaign experiment sweeps (failstop, torn, eadr, reorder, bitflip); empty = fail-stop only")
 		jsonPath  = flag.String("json", "", "with -bench: write the enveloped JSON suite to this file instead of stdout; with -experiment campaign: write the enveloped campaign report here")
 		storePath = flag.String("store", "", "write the campaign experiment's raw per-injection rows to a columnar result store at this path (query with adccquery)")
@@ -100,7 +99,6 @@ func main() {
 	opts := []adcc.Option{
 		adcc.WithScale(effScale),
 		adcc.WithParallelism(*parallel),
-		adcc.WithCampaignReplay(*replay),
 	}
 	if *faultFlag != "" {
 		var models []string

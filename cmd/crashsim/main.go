@@ -58,10 +58,9 @@ func main() {
 
 		campaignMode  = flag.Bool("campaign", false, "sweep the workload through the fault-injection campaign instead of one crash point")
 		campaignScale = flag.Float64("campaign-scale", 0.1, "with -campaign: problem-size and sweep-density scale")
-		parallel      = flag.Int("parallel", 1, "with -campaign: max concurrent injections (report identical at any setting)")
+		parallel      = flag.Int("parallel", 1, "with -campaign: max concurrent cells (report identical at any setting)")
 		jsonPath      = flag.String("json", "", "with -campaign: write the machine-readable campaign report to this file")
 		storePath     = flag.String("store", "", "with -campaign: write every injection's raw outcome row to a columnar result store at this path (query with adccquery)")
-		replay        = flag.Bool("replay", false, "with -campaign: use the snapshot/fork replay engine (same report, far less wall time)")
 	)
 	flag.Parse()
 
@@ -83,7 +82,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "crashsim: -%s applies to single-point mode and is ignored by -campaign (the campaign sweeps both platforms with its own sizes); drop it\n", conflict)
 			os.Exit(2)
 		}
-		os.Exit(runCampaign(*workload, *campaignScale, *parallel, *jsonPath, *storePath, *replay, faultNames(*faultFlag)))
+		os.Exit(runCampaign(*workload, *campaignScale, *parallel, *jsonPath, *storePath, faultNames(*faultFlag)))
 	}
 
 	// Single-point mode crashes exactly once, so it takes one fault
@@ -255,12 +254,11 @@ func faultNames(flagValue string) []string {
 // under clean fail-stop only, because the richer fault models (torn
 // writebacks, reordering, bit flips) exist precisely to push schemes
 // past their guarantees.
-func runCampaign(workload string, scale float64, parallel int, jsonPath, storePath string, replay bool, faults []string) int {
+func runCampaign(workload string, scale float64, parallel int, jsonPath, storePath string, faults []string) int {
 	opts := []adcc.Option{
 		adcc.WithScale(scale),
 		adcc.WithParallelism(parallel),
 		adcc.WithWorkloads(workload),
-		adcc.WithCampaignReplay(replay),
 		adcc.WithVerbose(os.Stderr),
 	}
 	if len(faults) > 0 {

@@ -31,10 +31,10 @@ func main() {
 	client := adccclient.New(ts.URL, nil)
 	ctx := context.Background()
 
-	// Submit a small campaign: the mc workload at 2% scale on the
-	// snapshot/fork replay engine. The spec describes the deterministic
-	// result; parallelism and engine choice never change report bytes.
-	spec := adcc.CampaignSpec{Workloads: []string{"mc"}, Scale: 0.02, Replay: true}
+	// Submit a small campaign: the mc workload at 2% scale. The spec
+	// describes the deterministic result; the server's parallelism
+	// never changes report bytes.
+	spec := adcc.CampaignSpec{Workloads: []string{"mc"}, Scale: 0.02}
 	info, err := client.Submit(ctx, spec)
 	if err != nil {
 		log.Fatal(err)
@@ -72,9 +72,9 @@ func main() {
 	fmt.Printf("report: %d injections, first cell %s recovery %.2f\n",
 		env.Campaign.Injections, cell.Key(), cell.RecoveryRate)
 
-	// Resubmit the same result — different engine spelling, same cache
-	// key — and get the cached report without recomputation.
-	again, err := client.Submit(ctx, adcc.CampaignSpec{Workloads: []string{"mc"}, Scale: 0.02})
+	// Resubmit the same result — different spelling, same cache key —
+	// and get the cached report without recomputation.
+	again, err := client.Submit(ctx, adcc.CampaignSpec{Workloads: []string{"mc", "mc"}, Scale: 0.02})
 	if err != nil {
 		log.Fatal(err)
 	}

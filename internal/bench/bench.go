@@ -62,8 +62,7 @@ type Result struct {
 	Failures   int64 `json:"failures,omitempty"`
 	// WallNSPerInjection is the host wall-clock cost of one injection of
 	// a campaign cell. Like ns/op it is a wall metric — machine-varying,
-	// compared generously and advisable on PRs — and it is what records
-	// the snapshot-replay engine's speedup in the trajectory.
+	// compared generously and advisory on PRs.
 	WallNSPerInjection float64 `json:"wall_ns_per_injection,omitempty"`
 }
 

@@ -664,139 +664,6 @@ func (c *Cache) ResetVolatile() {
 	c.lastLn, c.lastWay = 0, nil
 }
 
-// State is a deep-copy snapshot of a Cache's simulation state: the line
-// directory with tags, dirty bits, and LRU ordering, the wayOf index,
-// the prefetcher and write-combining state, and the event counters. It
-// is opaque; capture it with Snapshot and apply it with Restore.
-type State struct {
-	ways       []way
-	wayOf      []uint32
-	tick       uint64
-	stats      Stats
-	streams    []uint64
-	nextStream int
-	lastWbLine uint64
-}
-
-func growWays(s []way, n int) []way {
-	if cap(s) < n {
-		return make([]way, n)
-	}
-	return s[:n]
-}
-
-func growU32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		return make([]uint32, n)
-	}
-	return s[:n]
-}
-
-func growU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
-// Snapshot deep-copies the cache's simulation state into st and returns
-// it. A nil st allocates a fresh State; a non-nil st reuses its buffers
-// when large enough.
-func (c *Cache) Snapshot(st *State) *State {
-	if st == nil {
-		st = &State{}
-	}
-	st.ways = growWays(st.ways, len(c.ways))
-	copy(st.ways, c.ways)
-	st.wayOf = growU32(st.wayOf, len(c.wayOf))
-	copy(st.wayOf, c.wayOf)
-	st.streams = growU64(st.streams, len(c.streams))
-	copy(st.streams, c.streams)
-	st.tick = c.tick
-	st.stats = c.stats
-	st.nextStream = c.nextStream
-	st.lastWbLine = c.lastWbLine
-	return st
-}
-
-// Restore overwrites the cache's simulation state from st. The cache
-// must have the geometry st was captured from (same way count); a
-// mismatch panics. The MRU memo is cleared rather than restored — it
-// revalidates on first use, so clearing is behavior-neutral.
-func (c *Cache) Restore(st *State) {
-	if len(st.ways) != len(c.ways) {
-		panic(fmt.Sprintf("cache: restore of %d-way state onto %d-way cache",
-			len(st.ways), len(c.ways)))
-	}
-	copy(c.ways, st.ways)
-	clear(c.fillBits)
-	clear(c.dirtyBits)
-	for i := range c.ways {
-		if w := &c.ways[i]; w.valid {
-			mark(c.fillBits, uint64(i))
-			if w.dirty {
-				mark(c.dirtyBits, uint64(i))
-			}
-		}
-	}
-	c.wayOf = growU32(c.wayOf, len(st.wayOf))
-	copy(c.wayOf, st.wayOf)
-	if len(c.streams) != len(st.streams) {
-		panic(fmt.Sprintf("cache: restore of %d-stream state onto %d-stream cache",
-			len(st.streams), len(c.streams)))
-	}
-	copy(c.streams, st.streams)
-	c.tick = st.tick
-	c.stats = st.stats
-	c.nextStream = st.nextStream
-	c.lastWbLine = st.lastWbLine
-	c.lastLn, c.lastWay = 0, nil
-}
-
-// Equal reports whether two snapshots capture identical simulation
-// state. The wayOf index compares only on entries that are live (their
-// way still holds the tag) in either snapshot — stale entries are
-// semantically invisible.
-func (a *State) Equal(b *State) bool {
-	if len(a.ways) != len(b.ways) ||
-		a.tick != b.tick || a.stats != b.stats ||
-		a.nextStream != b.nextStream || a.lastWbLine != b.lastWbLine {
-		return false
-	}
-	for i := range a.ways {
-		if a.ways[i] != b.ways[i] {
-			return false
-		}
-	}
-	if len(a.streams) != len(b.streams) {
-		return false
-	}
-	for i := range a.streams {
-		if a.streams[i] != b.streams[i] {
-			return false
-		}
-	}
-	live := func(st *State, ln int) (uint32, bool) {
-		if ln >= len(st.wayOf) || st.wayOf[ln] == 0 {
-			return 0, false
-		}
-		w := st.ways[st.wayOf[ln]-1]
-		return st.wayOf[ln], w.valid && w.tag == uint64(ln)
-	}
-	n := len(a.wayOf)
-	if len(b.wayOf) > n {
-		n = len(b.wayOf)
-	}
-	for ln := 0; ln < n; ln++ {
-		ea, la := live(a, ln)
-		eb, lb := live(b, ln)
-		if la != lb || (la && ea != eb) {
-			return false
-		}
-	}
-	return true
-}
-
 // Contains reports whether the line holding address a is resident, and
 // whether it is dirty. Used by tests and by the consistency reporter.
 func (c *Cache) Contains(a mem.Addr) (resident, dirty bool) {

@@ -208,8 +208,6 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 					t.Fatalf("cfg %d seed %d step %d: DirtyLines %d, way scan %d", ci, seed, step, got, len(want))
 				}
 			}
-			var saved *State
-
 			for i := 0; i < ops; i++ {
 				a := mem.Addr(rng.Intn(addrLines * cfg.LineBytes))
 				size := 1 + rng.Intn(3*cfg.LineBytes) // up to 4 lines per access
@@ -229,13 +227,6 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 				case p < 97:
 					c.WritebackAll()
 					ref.writebackAll()
-				case p < 98:
-					// Restore rebuilds the index from the ways it installs:
-					// scramble the cache in between so nothing carries over.
-					saved = c.Snapshot(saved)
-					c.DiscardAll()
-					c.Store(a, size)
-					c.Restore(saved)
 				default:
 					c.DiscardAll()
 					ref.discardAll()

@@ -8,12 +8,22 @@
 // silent corruption, unrecoverable) together with recovery-cost
 // statistics (rework ops, flush traffic, simulated time).
 //
-// Every injection runs on its own freshly built simulated machine and
-// every crash point derives from a per-cell seed, so the campaign is
-// fully deterministic: the aggregated Report is byte-identical for any
-// worker-pool width (shards fan through engine.RunCases and are
-// collected by index). The JSON report feeds cmd/benchdiff via
-// Report.BenchResults, letting CI gate on recovery-rate regressions.
+// There is one engine. Each cell runs its workload twice — a profiling
+// run that learns the crash-point space, and a recording run that pauses
+// at every scheduled point and captures the post-crash state (persistent
+// images, auxiliary state, fault overlay) copy-on-write. Points whose
+// captures are equal crash into identical machines, so they are merged
+// into equivalence classes and recovery is forked once per class from a
+// restored capture instead of once per point from op 0. The from-scratch
+// per-injection engine this replaced lives on in oracle_test.go as the
+// differential oracle: both must produce the same bytes.
+//
+// Every crash point derives from a per-cell seed and every cost is a
+// simulated-clock delta, so the campaign is fully deterministic: the
+// aggregated Report is byte-identical for any worker-pool width (cells
+// fan through engine.RunCases and are collected by index). The JSON
+// report feeds cmd/benchdiff via Report.BenchResults, letting CI gate on
+// recovery-rate regressions.
 package campaign
 
 import (
@@ -45,7 +55,7 @@ type Config struct {
 	// Seed drives crash-point selection (per-cell seeds derive from it).
 	// The default 0 is a valid seed.
 	Seed int64
-	// Parallel bounds how many injections run concurrently through the
+	// Parallel bounds how many cells run concurrently through the
 	// engine's worker pool; <= 1 is serial. The report is byte-identical
 	// at any setting.
 	Parallel int
@@ -76,18 +86,11 @@ type Config struct {
 	// schemes registered on an instance registry become sweepable by
 	// passing that registry here and naming them in Schemes.
 	Registry *engine.Registry
-	// Replay switches the inner loop to the snapshot/fork engine: each
-	// cell executes once, capturing a machine snapshot at every
-	// scheduled crash point, and recovery forks run from restored
-	// snapshots instead of re-executing the workload from op 0. The
-	// report is byte-identical to the legacy per-injection path; only
-	// wall-clock cost (and the shape of the event stream) differs.
-	Replay bool
-	// Events, when non-nil, receives Progress events for the profiling
-	// stage and one InjectionDone per classified injection, in
-	// deterministic index order (byte-identical at any Parallel). Replay
-	// campaigns additionally emit a "campaign/record" Progress event per
-	// recorded cell.
+	// Events, when non-nil, receives a "campaign/profile" Progress event
+	// per profiled cell, then per recorded cell a "campaign/record"
+	// Progress event followed by one InjectionDone per classified
+	// injection, in deterministic index order (byte-identical at any
+	// Parallel).
 	Events engine.EventSink
 	// Completed maps cell keys (CellReport.Key, "workload/scheme@system")
 	// to cell reports aggregated by a previous run. Cells found here are
@@ -108,10 +111,9 @@ type Config struct {
 	OnCell func(CellReport)
 	// Sink, when non-nil, receives one row per injection: BeginCell once
 	// per cell in deterministic grid order, then one Row per crash point
-	// in point order. Both engines feed it the identical sequence at any
-	// Parallel setting, so a sink that serializes what it is handed (the
-	// result-store writer) produces byte-identical output for any
-	// execution strategy. Sink runs on the sweep's ordered observation
+	// in point order. It is fed the identical sequence at any Parallel
+	// setting, so a sink that serializes what it is handed (the
+	// result-store writer) produces byte-identical output. Sink runs on the sweep's ordered observation
 	// path; keep it fast. Run rejects a Sink combined with Completed
 	// cells: restored aggregates carry no per-injection rows, so the
 	// sink's output would silently omit them.
@@ -543,16 +545,22 @@ func (p plan) info() CellInfo {
 	}
 }
 
-// job is one injection task of the flattened sweep.
-type job struct {
-	PlanIdx int
-	Point   crash.CrashPoint
+// Run executes the campaign and returns its aggregated report.
+// Cancelling ctx stops the dispatch of queued cells, stops running
+// cells before their next recovery fork, and surfaces ctx.Err(); a
+// cancelled campaign returns no report.
+func Run(ctx context.Context, cfg Config) (*Report, error) {
+	return run(ctx, cfg, runCells)
 }
 
-// Run executes the campaign and returns its aggregated report.
-// Cancelling ctx stops the dispatch of queued injections and surfaces
-// ctx.Err(); a cancelled campaign returns no report.
-func Run(ctx context.Context, cfg Config) (*Report, error) {
+// stage2 executes every planned injection and returns the rows in
+// plan-major point order, accounting host wall time per plan into
+// cellWallNS and feeding cfg.Sink, cfg.Events, and cfg.OnCell on the
+// way. It is a parameter of run only so the tests' from-scratch oracle
+// goes through the same planning and aggregation as the engine.
+type stage2 func(ctx context.Context, cfg Config, plans []plan, cellWallNS []int64) ([]InjectionRow, error)
+
+func run(ctx context.Context, cfg Config, execute stage2) (*Report, error) {
 	grid, err := cfg.cells()
 	if err != nil {
 		return nil, err
@@ -617,24 +625,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	// Stage 2: execute the injections. Both engines produce one
-	// injection per (cell, point) in plan-major point order and account
-	// wall-clock cost per cell; the aggregation below cannot tell them
-	// apart — the report is byte-identical across engines and pool
-	// widths.
-	var jobs []job
-	for pi, p := range plans {
-		for _, pt := range p.Points {
-			jobs = append(jobs, job{PlanIdx: pi, Point: pt})
-		}
-	}
+	// Stage 2: execute the injections, one row per (cell, point) in
+	// plan-major point order.
 	cellWallNS := make([]int64, len(plans))
-	var results []InjectionRow
-	if cfg.Replay {
-		results, err = runReplay(ctx, cfg, plans, jobs, cellWallNS)
-	} else {
-		results, err = runLegacy(ctx, cfg, plans, jobs, cellWallNS)
-	}
+	results, err := execute(ctx, cfg, plans, cellWallNS)
 	if err != nil {
 		return nil, err
 	}
@@ -678,76 +672,30 @@ func aggregateCell(p plan, inj []InjectionRow, wallNS int64) CellReport {
 	return cr
 }
 
-// runLegacy is the per-injection engine: every (cell, point) job runs
-// the workload from op 0 on a fresh machine. Jobs fan through the
-// bounded pool independently; collection by index keeps the aggregation
-// byte-identical for any pool width.
-func runLegacy(ctx context.Context, cfg Config, plans []plan, jobs []job, cellWallNS []int64) ([]InjectionRow, error) {
-	var observe func(i int, inj InjectionRow, err error)
-	if cfg.Events != nil || cfg.OnCell != nil || cfg.Sink != nil {
-		var cellBuf []InjectionRow
-		observe = func(i int, inj InjectionRow, _ error) {
-			pi := jobs[i].PlanIdx
-			if cfg.Sink != nil {
-				// Jobs are plan-major, so a plan-index change (or i == 0)
-				// opens the cell; the sink sees exactly the grid-order
-				// BeginCell/Row sequence the replay engine emits.
-				if i == 0 || jobs[i-1].PlanIdx != pi {
-					cfg.Sink.BeginCell(plans[pi].info())
-				}
-				cfg.Sink.Row(inj)
-			}
-			if cfg.Events != nil {
-				cfg.Events.Emit(engine.InjectionDone{
-					Cell:    plans[pi].Cell.String(),
-					Index:   i,
-					Total:   len(jobs),
-					Outcome: inj.Outcome.String(),
-				})
-			}
-			if cfg.OnCell == nil {
-				return
-			}
-			// Jobs are plan-major and observed in strict index order, so
-			// the last job of a plan closes the cell: every injection of
-			// the cell has been collected and its wall accounting is
-			// final.
-			cellBuf = append(cellBuf, inj)
-			if i+1 == len(jobs) || jobs[i+1].PlanIdx != pi {
-				cfg.OnCell(aggregateCell(plans[pi], cellBuf, atomic.LoadInt64(&cellWallNS[pi])))
-				cellBuf = cellBuf[:0]
-			}
-		}
-	}
-	return engine.RunCasesObserved(ctx, cfg.Parallel, len(jobs), func(i int) (InjectionRow, error) {
-		p := plans[jobs[i].PlanIdx]
-		start := time.Now()
-		inj := runInjection(cfg, p, jobs[i].Point)
-		atomic.AddInt64(&cellWallNS[jobs[i].PlanIdx], time.Since(start).Nanoseconds())
-		return inj, nil
-	}, observe)
-}
-
-// runReplay is the snapshot/fork engine: each cell executes once — a
-// recording run capturing a machine snapshot at every scheduled crash
-// point — and recovery runs on forks restored from those snapshots.
-// Snapshots deduplicate into post-crash equivalence classes (Crash
+// runCells is the engine's stage 2: each cell executes once — a
+// recording run capturing the post-crash state at every scheduled crash
+// point — and recovery runs on forks restored from those captures.
+// Captures deduplicate into post-crash equivalence classes (Crash
 // erases all volatile state, so two points whose persistent images and
 // auxiliary state match crash into identical machines), and one fork
 // per class serves every member point. Cells fan through the bounded
 // pool; within a cell the work is sequential, bounding resident
 // snapshot memory to roughly the pool width times the per-cell class
 // count.
-func runReplay(ctx context.Context, cfg Config, plans []plan, jobs []job, cellWallNS []int64) ([]InjectionRow, error) {
-	// Global injection indices of each plan's first point, so replay
-	// events carry the same Index/Total coordinates as legacy ones.
+func runCells(ctx context.Context, cfg Config, plans []plan, cellWallNS []int64) ([]InjectionRow, error) {
+	// Global injection index of each plan's first point: InjectionDone
+	// events number injections across the whole campaign.
 	offset := make([]int, len(plans)+1)
 	for pi, p := range plans {
 		offset[pi+1] = offset[pi] + len(p.Points)
 	}
+	total := offset[len(plans)]
 	var observe func(i int, inj []InjectionRow, err error)
 	if cfg.Events != nil || cfg.OnCell != nil || cfg.Sink != nil {
-		observe = func(i int, inj []InjectionRow, _ error) {
+		observe = func(i int, inj []InjectionRow, err error) {
+			if err != nil {
+				return // a cancelled cell has no rows to announce
+			}
 			if cfg.Sink != nil {
 				cfg.Sink.BeginCell(plans[i].info())
 				for _, r := range inj {
@@ -760,7 +708,7 @@ func runReplay(ctx context.Context, cfg Config, plans []plan, jobs []job, cellWa
 					cfg.Events.Emit(engine.InjectionDone{
 						Cell:    plans[i].Cell.String(),
 						Index:   offset[i] + j,
-						Total:   len(jobs),
+						Total:   total,
 						Outcome: r.Outcome.String(),
 					})
 				}
@@ -772,14 +720,14 @@ func runReplay(ctx context.Context, cfg Config, plans []plan, jobs []job, cellWa
 	}
 	perCell, err := engine.RunCasesObserved(ctx, cfg.Parallel, len(plans), func(i int) ([]InjectionRow, error) {
 		start := time.Now()
-		inj := runCellReplay(cfg, plans[i])
+		inj, err := runCell(ctx, cfg, plans[i])
 		atomic.AddInt64(&cellWallNS[i], time.Since(start).Nanoseconds())
-		return inj, nil
+		return inj, err
 	}, observe)
 	if err != nil {
 		return nil, err
 	}
-	results := make([]InjectionRow, 0, len(jobs))
+	results := make([]InjectionRow, 0, total)
 	for _, inj := range perCell {
 		results = append(results, inj...)
 	}
@@ -809,18 +757,19 @@ type classResult struct {
 	resumeOps  int64
 }
 
-// runCellReplay executes one cell under the snapshot/fork engine and
-// returns its injections in point order.
-func runCellReplay(cfg Config, p plan) []InjectionRow {
+// runCell records one cell, forks recovery once per equivalence
+// class, and returns the cell's injections in point order. A cancelled
+// ctx is noticed between forks and returned as the error.
+func runCell(ctx context.Context, cfg Config, p plan) ([]InjectionRow, error) {
 	injections := make([]InjectionRow, len(p.Points))
 	m := p.Cell.newMachine()
 	em := crash.NewEmulator(m)
 	w := p.Cell.newWorkload(cfg, p.Assets)
 	if err := w.Prepare(m, em); err != nil {
 		for i := range injections {
-			injections[i] = InjectionRow{Outcome: OutcomeUnrecoverable}
+			injections[i] = expandInjection(classResult{prepErr: true}, 0, p)
 		}
-		return injections
+		return injections, nil
 	}
 
 	// Recording run: pause at every scheduled point, capture the
@@ -858,8 +807,8 @@ func runCellReplay(cfg Config, p plan) []InjectionRow {
 		}
 		// The overlay error is impossible for the built-in models the
 		// campaign sweeps (no explicit permutation); an inapplicable
-		// model would degrade to its fail-stop capture, exactly like the
-		// legacy engine's fallback.
+		// model would degrade to its fail-stop capture, exactly like
+		// Emulator.Run's fallback.
 		st, _ := m.CrashSnapshotFault(prev, fm, em.OpCount())
 		prev = st
 		for _, ci := range byHash[st.Hash()] {
@@ -879,19 +828,22 @@ func runCellReplay(cfg Config, p plan) []InjectionRow {
 	// result to every member point.
 	f := newForker(cfg, p)
 	for _, c := range classes {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		res := f.run(c.state)
 		for _, pi := range c.points {
 			injections[pi] = expandInjection(res, crashOps[pi], p)
 		}
 	}
-	// Points the recording run never reached mirror the legacy engine's
-	// unfired-crash outcome.
+	// Points the recording run never reached are crashes that never
+	// fired.
 	for pi, ok := range captured {
 		if !ok {
 			injections[pi] = InjectionRow{Outcome: OutcomeNoCrash}
 		}
 	}
-	return injections
+	return injections, nil
 }
 
 // forker replays all of one cell's crash classes on a single reused
@@ -899,7 +851,7 @@ func runCellReplay(cfg Config, p plan) []InjectionRow {
 // once — Prepare runs under a null accessor, since every fork's restore
 // overwrites everything Prepare computes — and each class run then
 // costs only a (memoized, copy-on-write) post-crash restore plus the
-// recovery/resume/verify the legacy engine would also pay.
+// recovery/resume/verify itself.
 type forker struct {
 	p       plan
 	m       *crash.Machine
@@ -922,17 +874,24 @@ func newForker(cfg Config, p plan) *forker {
 }
 
 // run replays one equivalence class: restore the captured post-crash
-// state and run recovery/resume/verify exactly as the legacy engine
-// does after its crash returns. All cost fields are simulated-clock
-// deltas, so the fork machine's absolute clock position is irrelevant.
+// state, then recover, resume, and verify.
 func (f *forker) run(st *crash.CrashState) classResult {
-	var res classResult
 	if f.prepErr {
-		res.prepErr = true
-		return res
+		return classResult{prepErr: true}
 	}
-	m, em, w := f.m, f.em, f.w
-	m.RestoreCrash(st)
+	f.m.RestoreCrash(st)
+	return recoverAndResume(f.m, f.em, f.w)
+}
+
+// recoverAndResume takes a machine that has just crashed (or been
+// restored to a post-crash state) through the cell's scheme: post-crash
+// detection/restore, resumption under the disarmed but still counting
+// emulator, and verification. Panics in any of the three are contained
+// and classified — a campaign survives pathological injections. All
+// cost fields are simulated-clock deltas, so the machine's absolute
+// clock position is irrelevant.
+func recoverAndResume(m *crash.Machine, em *crash.Emulator, w engine.Workload) classResult {
+	var res classResult
 	flushes0 := m.LLC.Stats().Flushes
 
 	recStart := m.Clock.Now()
@@ -958,10 +917,9 @@ func (f *forker) run(st *crash.CrashState) classResult {
 	return res
 }
 
-// expandInjection specializes a class result to one member point,
-// mirroring runInjection's classification field for field: the only
-// point-dependent inputs are the crash op count and the rework derived
-// from it.
+// expandInjection is the campaign's one classification: it specializes
+// a class result to one member point. The only point-dependent inputs
+// are the crash op count and the rework derived from it.
 func expandInjection(res classResult, crashOps int64, p plan) InjectionRow {
 	var inj InjectionRow
 	if res.prepErr {
@@ -985,70 +943,6 @@ func expandInjection(res classResult, crashOps int64, p plan) InjectionRow {
 		return inj
 	}
 	if res.verifyFail {
-		inj.Outcome = OutcomeCorrupt
-		return inj
-	}
-	if inj.ReworkOps <= 2*p.Profile.MainTriggerOps() {
-		inj.Outcome = OutcomeClean
-	} else {
-		inj.Outcome = OutcomeRecomputed
-	}
-	return inj
-}
-
-// runInjection executes one crash point on a fresh machine: run to the
-// crash, recover under the cell's scheme, resume with op counting, and
-// verify. Panics in recovery or resumption are contained and classified
-// as unrecoverable — a campaign survives pathological injections.
-func runInjection(cfg Config, p plan, pt crash.CrashPoint) InjectionRow {
-	var inj InjectionRow
-	m := p.Cell.newMachine()
-	em := crash.NewEmulator(m)
-	w := p.Cell.newWorkload(cfg, p.Assets)
-	if err := w.Prepare(m, em); err != nil {
-		inj.Outcome = OutcomeUnrecoverable
-		return inj
-	}
-	if err := em.SetFault(p.Cell.fault(cfg.Seed)); err != nil {
-		// Unreachable for the parsed built-in models, but a malformed
-		// model must classify, not panic.
-		inj.Outcome = OutcomeUnrecoverable
-		return inj
-	}
-	em.Arm(pt)
-	if !em.Run(func() { w.Run(w.Start()) }) {
-		inj.Outcome = OutcomeNoCrash
-		return inj
-	}
-	inj.CrashOps = em.CrashOps()
-	flushes0 := m.LLC.Stats().Flushes
-
-	// Post-crash detection/restore under the scheme.
-	recStart := m.Clock.Now()
-	from, err := safeRecover(w)
-	inj.RecoverSimNS = m.Clock.Since(recStart)
-	if err != nil {
-		inj.Outcome = OutcomeUnrecoverable
-		return inj
-	}
-
-	// Resume with the emulator disarmed but still counting ops: the
-	// count is the rework the scheme forced.
-	em.Disarm()
-	resStart := m.Clock.Now()
-	crashedAgain, err := safeResume(em, w, from)
-	inj.ResumeSimNS = m.Clock.Since(resStart)
-	inj.FlushLines = m.LLC.Stats().Flushes - flushes0
-	remaining := p.Profile.Ops - inj.CrashOps
-	if rework := em.OpCount() - remaining; rework > 0 {
-		inj.ReworkOps = rework
-	}
-	if err != nil || crashedAgain {
-		inj.Outcome = OutcomeUnrecoverable
-		return inj
-	}
-
-	if err := safeVerify(w); err != nil {
 		inj.Outcome = OutcomeCorrupt
 		return inj
 	}

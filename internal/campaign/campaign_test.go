@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -161,5 +162,54 @@ func TestBenchResults(t *testing.T) {
 	total := rs[2]
 	if total.Name != "campaign/total" || total.Injections != 10 || total.Failures != 2 || total.SimNS != 33 {
 		t.Errorf("total row = %+v", total)
+	}
+}
+
+// flipCtx is a context whose Err turns to context.Canceled once it has
+// been polled more than `after` times — cancellation at an exact point
+// of a serial campaign, with no timing involved.
+type flipCtx struct {
+	context.Context
+	polls, after int
+}
+
+func (c *flipCtx) Err() error {
+	c.polls++
+	if c.polls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelBetweenForks: a cancelled context is noticed inside a cell,
+// between recovery forks — not only between cells. A one-cell campaign
+// whose every crash point is its own class (torn writebacks defeat the
+// version fast path) polls the context once per fork; cancelling midway
+// must return context.Canceled and no report on the very next poll.
+func TestCancelBetweenForks(t *testing.T) {
+	cfg := Config{
+		Scale: 0.02, PerCell: 12,
+		Workloads: []string{"mm"}, Schemes: []string{"native"}, FaultModels: []string{"torn"},
+	}
+	if keys, err := cfg.CellKeys(); err != nil || len(keys) != 2 {
+		t.Fatalf("CellKeys = %v, %v; want the two systems of one scheme", keys, err)
+	}
+	full := &flipCtx{Context: context.Background(), after: 1 << 30}
+	if _, err := Run(full, cfg); err != nil {
+		t.Fatalf("uncancelled run: %v", err)
+	}
+	// Two cells poll at least PerCell times in their fork loops, beside
+	// the executor's per-cell dispatch polls.
+	if full.polls < 2*8 {
+		t.Fatalf("a full run polled the context %d times; the fork loop is not polling", full.polls)
+	}
+	// Three quarters through is inside the second cell's fork loop.
+	cut := &flipCtx{Context: context.Background(), after: full.polls * 3 / 4}
+	rep, err := Run(cut, cfg)
+	if !errors.Is(err, context.Canceled) || rep != nil {
+		t.Fatalf("cancelled run = %v, %v; want no report and context.Canceled", rep, err)
+	}
+	if got := cut.polls - cut.after; got > 2 {
+		t.Errorf("campaign polled %d more times after cancellation, want a return within one fork", got)
 	}
 }

@@ -18,38 +18,34 @@ func runWithHooks(t *testing.T, cfg Config) (*Report, []CellReport) {
 	return rep, cells
 }
 
-// TestOnCellMatchesReport asserts the checkpoint hook contract on both
-// engines: one callback per cell, in deterministic grid order, carrying
-// exactly the CellReport the final report aggregates.
+// TestOnCellMatchesReport asserts the checkpoint hook contract: one
+// callback per cell, in deterministic grid order, carrying exactly the
+// CellReport the final report aggregates.
 func TestOnCellMatchesReport(t *testing.T) {
-	for _, replay := range []bool{false, true} {
-		for _, parallel := range []int{1, 4} {
-			cfg := tinyConfig(parallel)
-			cfg.Replay = replay
-			rep, cells := runWithHooks(t, cfg)
-			if len(cells) != len(rep.Cells) {
-				t.Fatalf("replay=%v parallel=%d: %d OnCell calls, want %d",
-					replay, parallel, len(cells), len(rep.Cells))
+	for _, parallel := range []int{1, 4} {
+		cfg := tinyConfig(parallel)
+		rep, cells := runWithHooks(t, cfg)
+		if len(cells) != len(rep.Cells) {
+			t.Fatalf("parallel=%d: %d OnCell calls, want %d", parallel, len(cells), len(rep.Cells))
+		}
+		keys, err := cfg.CellKeys()
+		if err != nil {
+			t.Fatalf("CellKeys: %v", err)
+		}
+		byKey := map[string]CellReport{}
+		for _, c := range rep.Cells {
+			byKey[c.Key()] = c
+		}
+		for i, c := range cells {
+			if c.Key() != keys[i] {
+				t.Errorf("OnCell #%d = %q, want grid order %q", i, c.Key(), keys[i])
 			}
-			keys, err := cfg.CellKeys()
-			if err != nil {
-				t.Fatalf("CellKeys: %v", err)
-			}
-			byKey := map[string]CellReport{}
-			for _, c := range rep.Cells {
-				byKey[c.Key()] = c
-			}
-			for i, c := range cells {
-				if c.Key() != keys[i] {
-					t.Errorf("replay=%v: OnCell #%d = %q, want grid order %q", replay, i, c.Key(), keys[i])
-				}
-				want := byKey[c.Key()]
-				// The wall measurement is host noise; canonical fields
-				// must match exactly.
-				c.WallNSPerInjection, want.WallNSPerInjection = 0, 0
-				if c != want {
-					t.Errorf("replay=%v: OnCell %s = %+v, want %+v", replay, c.Key(), c, want)
-				}
+			want := byKey[c.Key()]
+			// The wall measurement is host noise; canonical fields
+			// must match exactly.
+			c.WallNSPerInjection, want.WallNSPerInjection = 0, 0
+			if c != want {
+				t.Errorf("OnCell %s = %+v, want %+v", c.Key(), c, want)
 			}
 		}
 	}

@@ -11,23 +11,9 @@ import (
 	"adcc/internal/mem"
 )
 
-// faultConfig is a CI-sized campaign sweeping every fault model over a
-// restricted grid.
-func faultConfig(parallel int, replay bool) Config {
-	return Config{
-		Scale:       0.02,
-		Parallel:    parallel,
-		PerCell:     3,
-		Workloads:   []string{"mm", "mc"},
-		FaultModels: []string{"failstop", "torn", "eadr", "reorder", "bitflip"},
-		Replay:      replay,
-	}
-}
-
 // TestFailStopDifferential: the fault-model plumbing must not move a
 // single byte of a clean fail-stop campaign. An explicit ["failstop"]
-// config and a nil one encode identically, on both engines, at any
-// worker-pool width.
+// config and a nil one encode identically at any worker-pool width.
 func TestFailStopDifferential(t *testing.T) {
 	base := tinyConfig(1)
 	want, err := Run(context.Background(), base)
@@ -38,23 +24,20 @@ func TestFailStopDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encode baseline: %v", err)
 	}
-	for _, replay := range []bool{false, true} {
-		for _, parallel := range []int{1, 8} {
-			cfg := tinyConfig(parallel)
-			cfg.FaultModels = []string{"failstop"}
-			cfg.Replay = replay
-			rep, err := Run(context.Background(), cfg)
-			if err != nil {
-				t.Fatalf("explicit failstop (replay=%v, parallel=%d): %v", replay, parallel, err)
-			}
-			got, err := rep.EncodeJSON()
-			if err != nil {
-				t.Fatalf("encode: %v", err)
-			}
-			if string(got) != string(wantB) {
-				t.Errorf("explicit failstop report (replay=%v, parallel=%d) differs from legacy baseline:\nbase:\n%s\ngot:\n%s",
-					replay, parallel, wantB, got)
-			}
+	for _, parallel := range []int{1, 8} {
+		cfg := tinyConfig(parallel)
+		cfg.FaultModels = []string{"failstop"}
+		rep, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("explicit failstop (parallel=%d): %v", parallel, err)
+		}
+		got, err := rep.EncodeJSON()
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		if string(got) != string(wantB) {
+			t.Errorf("explicit failstop report (parallel=%d) differs from the nil-config baseline:\nbase:\n%s\ngot:\n%s",
+				parallel, wantB, got)
 		}
 	}
 }
@@ -104,36 +87,27 @@ func TestFaultGridShape(t *testing.T) {
 	}
 }
 
-// TestFaultReplayDifferential is the fault-axis analogue of
-// TestReplayDifferential: over every fault model, the snapshot/fork
-// engine must reproduce the legacy per-injection engine byte for byte,
-// at any worker-pool width on either side.
+// TestFaultReplayDifferential is the engine's contract over the whole
+// grid: every workload x scheme x system x fault model. The
+// snapshot/fork engine must reproduce the from-scratch oracle byte for
+// byte — report and RowSink sequence — at any worker-pool width.
 func TestFaultReplayDifferential(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-model differential campaign in -short mode")
+		t.Skip("full-grid differential campaign in -short mode")
 	}
-	legacy, err := Run(context.Background(), faultConfig(4, false))
-	if err != nil {
-		t.Fatalf("legacy campaign: %v", err)
-	}
-	want, err := legacy.EncodeJSON()
-	if err != nil {
-		t.Fatalf("encode legacy: %v", err)
-	}
-	for _, parallel := range []int{1, 8} {
-		replay, err := Run(context.Background(), faultConfig(parallel, true))
-		if err != nil {
-			t.Fatalf("replay campaign (parallel=%d): %v", parallel, err)
-		}
-		got, err := replay.EncodeJSON()
-		if err != nil {
-			t.Fatalf("encode replay: %v", err)
-		}
-		if string(got) != string(want) {
-			t.Errorf("replay fault report (parallel=%d) differs from legacy:\nlegacy:\n%s\nreplay:\n%s",
-				parallel, want, got)
-		}
-	}
+	legacy := requireEngineMatchesOracle(t, Config{
+		Scale:       0.02,
+		PerCell:     3,
+		FaultModels: []string{"failstop", "torn", "eadr", "reorder"},
+	})
+	// cg x bitflip does not terminate: a flipped RowPtr bit sends SpMV
+	// into a 2^37-element range load.
+	requireEngineMatchesOracle(t, Config{
+		Scale:       0.02,
+		PerCell:     3,
+		Workloads:   []string{"mm", "mc", "stencil", "kvlog"},
+		FaultModels: []string{"bitflip"},
+	})
 
 	// The models must actually bite: fail-stop mc/native recovers every
 	// injection (the paper's restart baseline), and the torn-writeback

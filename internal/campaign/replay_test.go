@@ -7,71 +7,29 @@ import (
 	"adcc/internal/crash"
 )
 
-// fullGridConfig covers every workload, scheme, and system at CI scale.
-func fullGridConfig(parallel int, replay bool) Config {
-	return Config{Scale: 0.02, Parallel: parallel, PerCell: 3, Replay: replay}
-}
-
-// TestReplayDifferential is the replay engine's contract: the
-// snapshot/fork path must reproduce the legacy per-injection path
-// byte-for-byte over the full workload x scheme x system grid, at any
-// worker-pool width on either side.
-func TestReplayDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-grid differential campaign in -short mode")
-	}
-	legacy, err := Run(context.Background(), fullGridConfig(4, false))
-	if err != nil {
-		t.Fatalf("legacy campaign: %v", err)
-	}
-	want, err := legacy.EncodeJSON()
-	if err != nil {
-		t.Fatalf("encode legacy: %v", err)
-	}
-	for _, parallel := range []int{1, 8} {
-		replay, err := Run(context.Background(), fullGridConfig(parallel, true))
-		if err != nil {
-			t.Fatalf("replay campaign (parallel=%d): %v", parallel, err)
-		}
-		got, err := replay.EncodeJSON()
-		if err != nil {
-			t.Fatalf("encode replay: %v", err)
-		}
-		if string(got) != string(want) {
-			t.Errorf("replay report (parallel=%d) differs from legacy:\nlegacy:\n%s\nreplay:\n%s",
-				parallel, want, got)
-		}
-	}
-}
-
-// TestReplayWallMetrics asserts both engines account per-cell wall
+// TestReplayWallMetrics asserts the engine accounts per-cell wall
 // cost: every cell of a completed campaign must report a positive
 // per-injection wall time, and the bench roll-up must carry it.
 func TestReplayWallMetrics(t *testing.T) {
-	for _, replay := range []bool{false, true} {
-		cfg := tinyConfig(2)
-		cfg.Replay = replay
-		rep, err := Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("campaign (replay=%v): %v", replay, err)
+	rep, err := Run(context.Background(), tinyConfig(2))
+	if err != nil {
+		t.Fatalf("campaign: %v", err)
+	}
+	for _, c := range rep.Cells {
+		if c.WallNSPerInjection <= 0 {
+			t.Errorf("cell %s/%s@%s has wall_ns_per_injection %v, want > 0",
+				c.Workload, c.Scheme, c.System, c.WallNSPerInjection)
 		}
-		for _, c := range rep.Cells {
-			if c.WallNSPerInjection <= 0 {
-				t.Errorf("replay=%v: cell %s/%s@%s has wall_ns_per_injection %v, want > 0",
-					replay, c.Workload, c.Scheme, c.System, c.WallNSPerInjection)
-			}
-		}
-		for _, r := range rep.BenchResults() {
-			if r.WallNSPerInjection <= 0 {
-				t.Errorf("replay=%v: bench row %s has wall_ns_per_injection %v, want > 0",
-					replay, r.Name, r.WallNSPerInjection)
-			}
+	}
+	for _, r := range rep.BenchResults() {
+		if r.WallNSPerInjection <= 0 {
+			t.Errorf("bench row %s has wall_ns_per_injection %v, want > 0", r.Name, r.WallNSPerInjection)
 		}
 	}
 }
 
-// BenchmarkSnapshotFork measures the fork primitive the replay engine
-// is built on: capture a copy-on-write post-crash snapshot of a mid-run
+// BenchmarkSnapshotFork measures the fork primitive the engine is
+// built on: capture a copy-on-write post-crash snapshot of a mid-run
 // machine, then restore it onto a reused fork machine and run full
 // recovery/resume/verify.
 func BenchmarkSnapshotFork(b *testing.B) {
@@ -84,7 +42,7 @@ func BenchmarkSnapshotFork(b *testing.B) {
 	as := newAssets(cl.Workload, cfg)
 
 	// Profile on one machine, then record a mid-run snapshot on a fresh
-	// one, exactly as the replay engine does.
+	// one, exactly as the engine does.
 	{
 		m := cl.newMachine()
 		em := crash.NewEmulator(m)

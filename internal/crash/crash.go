@@ -194,7 +194,7 @@ func (m *Machine) ChargeNVMWrite(size int) {
 // simulation component's state, produced by AuxState.SnapshotAux.
 type AuxSnapshot interface {
 	// EqualAux reports whether other captures identical state. Snapshot
-	// deduplication (campaign replay) relies on it.
+	// deduplication (the campaign's equivalence classes) relies on it.
 	EqualAux(other AuxSnapshot) bool
 }
 
@@ -220,29 +220,15 @@ type AuxState interface {
 
 // RegisterAux attaches an auxiliary state carrier to the machine's
 // snapshots. Registration order must be deterministic (components
-// register during workload construction), because Restore matches
+// register during workload construction), because RestoreCrash matches
 // snapshots to carriers positionally.
 func (m *Machine) RegisterAux(a AuxState) { m.aux = append(m.aux, a) }
-
-// MachineState is a deep-copy snapshot of a Machine's entire simulation
-// state: simulated time, CPU remainder, all region live and image
-// contents, the LLC directory, the memory system's volatile tier, and
-// every registered auxiliary component. Capture with Snapshot, apply
-// with Restore.
-type MachineState struct {
-	ClockNS int64
-	CPURem  float64
-	Heap    *mem.HeapState
-	Cache   *cache.State
-	Mem     *nvm.SystemState
-	Aux     []AuxSnapshot
-}
 
 // StateVersion sums the mutation counters of every crash-surviving
 // state layer: the heap's image version and each registered auxiliary
 // component's version. All addends are monotone, so two observations
 // with equal versions bracket an interval in which no persistent state
-// changed — the O(1) fast path that lets campaign replay assign
+// changed — the O(1) fast path that lets the campaign assign
 // consecutive crash points to one snapshot class without comparing
 // state contents.
 func (m *Machine) StateVersion() uint64 {
@@ -253,79 +239,12 @@ func (m *Machine) StateVersion() uint64 {
 	return v
 }
 
-// Snapshot captures the machine's full simulation state.
-func (m *Machine) Snapshot() *MachineState { return m.SnapshotInto(nil) }
-
-// SnapshotInto captures the machine's full simulation state into st and
-// returns it. A nil st allocates a fresh state; a non-nil st reuses its
-// buffers, so a pooled state snapshots with few or no allocations.
-func (m *Machine) SnapshotInto(st *MachineState) *MachineState {
-	if st == nil {
-		st = &MachineState{}
-	}
-	st.ClockNS = m.Clock.Now()
-	st.CPURem = m.CPU.Remainder()
-	st.Heap = m.Heap.Snapshot(st.Heap)
-	st.Cache = m.LLC.Snapshot(st.Cache)
-	st.Mem = m.Mem.Snapshot(st.Mem)
-	if cap(st.Aux) < len(m.aux) {
-		st.Aux = make([]AuxSnapshot, len(m.aux))
-	} else {
-		st.Aux = st.Aux[:len(m.aux)]
-	}
-	for i, a := range m.aux {
-		st.Aux[i] = a.SnapshotAux(st.Aux[i])
-	}
-	return st
-}
-
-// Restore overwrites the machine's full simulation state from st. The
-// machine must be structurally identical to the one st was captured
-// from: same platform configuration, same region allocation history,
-// and the same auxiliary components registered in the same order — in
-// practice, a machine built by re-running the same construction code.
-// Restore rewinds a fork to a captured instant; it is not a resumption
-// mechanism for arbitrary machines, and a structural mismatch panics.
-func (m *Machine) Restore(st *MachineState) {
-	if len(st.Aux) != len(m.aux) {
-		panic(fmt.Sprintf("crash: restore of %d aux snapshots onto %d registered carriers",
-			len(st.Aux), len(m.aux)))
-	}
-	m.Clock.SetNow(st.ClockNS)
-	m.CPU.SetRemainder(st.CPURem)
-	m.Heap.Restore(st.Heap)
-	m.LLC.Restore(st.Cache)
-	m.Mem.Restore(st.Mem)
-	for i, a := range m.aux {
-		a.RestoreAux(st.Aux[i])
-	}
-}
-
-// Equal reports whether two snapshots capture identical machine state.
-func (a *MachineState) Equal(b *MachineState) bool {
-	if a.ClockNS != b.ClockNS || a.CPURem != b.CPURem {
-		return false
-	}
-	if !a.Heap.Equal(b.Heap) || !a.Cache.Equal(b.Cache) || !a.Mem.Equal(b.Mem) {
-		return false
-	}
-	if len(a.Aux) != len(b.Aux) {
-		return false
-	}
-	for i := range a.Aux {
-		if !a.Aux[i].EqualAux(b.Aux[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// CrashState is the post-crash subset of a machine snapshot: the
+// CrashState is the post-crash state of a machine: the
 // persistent region images (copy-on-write, shared across captures whose
 // regions did not change) and the auxiliary component snapshots. It is
 // sufficient to reproduce any run that begins with a crash, because
 // Crash discards every other state layer — cache directory, volatile
-// memory tier, live region values, CPU remainder. Campaign replay
+// memory tier, live region values, CPU remainder. The campaign
 // captures one CrashState per injection point and restores it with
 // RestoreCrash, which costs almost nothing when consecutive points
 // share persistent state.
@@ -669,36 +588,6 @@ func (e *Emulator) Trigger(name string) {
 	}
 }
 
-// EmulatorState is a snapshot of the emulator's injection counters. It
-// is separate from MachineState because forks typically want a fresh
-// emulator (Run resets the counters), but tooling that suspends and
-// resumes an emulator mid-flight can carry them across.
-type EmulatorState struct {
-	Ops       int64
-	TrigSeen  int
-	Crashed   bool
-	CrashOps  int64
-	CrashTrig string
-}
-
-// Snapshot captures the emulator's counters.
-func (e *Emulator) Snapshot() EmulatorState {
-	return EmulatorState{
-		Ops: e.ops, TrigSeen: e.trigSeen,
-		Crashed: e.crashed, CrashOps: e.crashOps, CrashTrig: e.crashTrig,
-	}
-}
-
-// Restore overwrites the emulator's counters from st. The armed crash
-// point is left untouched (it is configuration, not run state).
-func (e *Emulator) Restore(st EmulatorState) {
-	e.ops = st.Ops
-	e.trigSeen = st.TrigSeen
-	e.crashed = st.Crashed
-	e.crashOps = st.CrashOps
-	e.crashTrig = st.CrashTrig
-}
-
 // OpCount returns the number of memory operations observed so far in the
 // current or most recent Run (including profiling runs).
 func (e *Emulator) OpCount() int64 { return e.ops }
@@ -834,9 +723,9 @@ func (e *Emulator) Run(workload func()) (crashed bool) {
 				e.OnCrash(e.M)
 			}
 			// The crash op count seeds the fault lottery, so the same
-			// point under the same model tears/reorders identically in
-			// this engine and in campaign replay. An inapplicable model
-			// leaves a fail-stop crash and is reported via FaultErr.
+			// point under the same model tears/reorders identically in a
+			// real crash here and in a campaign capture. An inapplicable
+			// model leaves a fail-stop crash and is reported via FaultErr.
 			e.faultErr = e.M.CrashWithFault(e.fault, sig.ops)
 			crashed = true
 		}
@@ -852,7 +741,7 @@ func (e *Emulator) Run(workload func()) (crashed bool) {
 // by its NVM image, and the CPU's sub-nanosecond remainder is dropped.
 // After Crash the machine's observable state is a function of the
 // persistent images and the registered auxiliary components alone —
-// the invariant the campaign's snapshot-replay engine deduplicates on.
+// the invariant the campaign engine deduplicates on.
 func (m *Machine) Crash() {
 	m.LLC.DiscardAll()
 	m.LLC.ResetVolatile()

@@ -13,7 +13,7 @@
 // the fail-stop image after the crash protocol runs.
 //
 // The overlay form is what keeps every model byte-deterministic at any
-// parallelism and compatible with the snapshot/fork replay engine: the
+// parallelism and compatible with the snapshot/fork campaign engine: the
 // overlay is a pure function of (machine instant, model, point seed), it
 // is captured inside CrashState (hash-mixed and compared by the
 // equivalence-class dedup), and applying it commutes with restoring the
@@ -228,7 +228,7 @@ func (m *Machine) faultRNG(seed, pointSeed int64) *rand.Rand {
 // overlay is sorted by address, names each word once, and never contains
 // a write whose value already equals the image word — models that happen
 // to change nothing are byte-identical to fail-stop, which maximizes
-// snapshot-class sharing in campaign replay.
+// snapshot-class sharing in the campaign.
 //
 // The computation reads the dirty-line directory and region contents
 // without simulated accesses or version bumps, so calling it does not

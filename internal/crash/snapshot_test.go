@@ -2,6 +2,7 @@ package crash_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -65,85 +66,94 @@ func (s *snapMachine) step(rng *rand.Rand) {
 	}
 }
 
-// TestSnapshotRestoreRoundTrip is the snapshot layer's property test:
-// for randomized machines and operation scripts, re-running a script
-// suffix after Restore must reproduce the exact final state — both on
-// the machine the snapshot came from and on a freshly built structural
-// twin (the fork case).
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	for _, kind := range []crash.SystemKind{crash.NVMOnly, crash.Hetero} {
-		for seed := int64(0); seed < 8; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", kind, seed), func(t *testing.T) {
-				a := buildSnapMachine(kind, seed)
-				rng := rand.New(rand.NewSource(seed + 1000))
-				for k := 0; k < 300; k++ {
-					a.step(rng)
-				}
-				mid := a.m.Snapshot()
-				// Continue with a recorded suffix so it can be replayed.
-				suffix := rand.New(rand.NewSource(seed + 2000))
-				for k := 0; k < 300; k++ {
-					a.step(suffix)
-				}
-				final := a.m.Snapshot()
-
-				// Same machine: rewind and re-run the suffix.
-				a.m.Restore(mid)
-				suffix = rand.New(rand.NewSource(seed + 2000))
-				for k := 0; k < 300; k++ {
-					a.step(suffix)
-				}
-				if got := a.m.Snapshot(); !got.Equal(final) {
-					t.Error("rewind + replay on the same machine diverged from the original run")
-				}
-
-				// Fresh structural twin: the fork case.
-				b := buildSnapMachine(kind, seed)
-				b.m.Restore(mid)
-				suffix = rand.New(rand.NewSource(seed + 2000))
-				for k := 0; k < 300; k++ {
-					b.step(suffix)
-				}
-				if got := b.m.Snapshot(); !got.Equal(final) {
-					t.Error("restore onto a fresh twin + replay diverged from the original run")
-				}
-
-				// A crash after restore must equal a crash at the
-				// original instant: post-crash state is a function of
-				// images and aux alone.
-				a.m.Restore(mid)
-				a.m.Crash()
-				afterA := a.m.Snapshot()
-				b.m.Restore(mid)
-				b.m.Crash()
-				if !afterA.Equal(b.m.Snapshot()) {
-					t.Error("post-crash states diverged between original machine and twin")
-				}
-			})
-		}
+// run applies n steps of the script seeded by seed.
+func (s *snapMachine) run(seed int64, n int) {
+	rng := rand.New(rand.NewSource(seed))
+	for k := 0; k < n; k++ {
+		s.step(rng)
 	}
 }
 
-// TestEmulatorSnapshotRoundTrip pins the emulator counter snapshot.
-func TestEmulatorSnapshotRoundTrip(t *testing.T) {
-	s := buildSnapMachine(crash.NVMOnly, 7)
-	em := crash.NewEmulator(s.m)
-	em.CrashAtOp(25)
-	if !em.Run(func() {
-		rng := rand.New(rand.NewSource(7))
-		for k := 0; k < 500; k++ {
-			s.step(rng)
+// endState is everything a run that began at a crash leaves behind: the
+// simulated time it took, the live values it computed, and the state
+// the next crash would preserve.
+type endState struct {
+	ns   int64
+	live uint64
+	post *crash.CrashState
+}
+
+// finish runs the suffix script from the machine's current (post-crash)
+// state and captures its endState. It ends in a second crash, so the
+// machine is left ready for the next restore.
+func (s *snapMachine) finish(seed int64) endState {
+	mark := s.m.Clock.Now()
+	s.run(seed, 300)
+	e := endState{ns: s.m.Clock.Since(mark), live: 14695981039346656037}
+	for _, r := range s.f {
+		for _, v := range r.Live() {
+			e.live = mem.HashWord(e.live, math.Float64bits(v))
 		}
-	}) {
-		t.Fatal("armed crash did not fire")
 	}
-	st := em.Snapshot()
-	if st.Ops != 25 || !st.Crashed || st.CrashOps != 25 {
-		t.Fatalf("unexpected emulator state after crash: %+v", st)
+	for _, r := range s.i {
+		for _, v := range r.Live() {
+			e.live = mem.HashWord(e.live, uint64(v))
+		}
 	}
-	em2 := crash.NewEmulator(s.m)
-	em2.Restore(st)
-	if em2.OpCount() != 25 || !em2.Crashed() || em2.CrashOps() != 25 || em2.CrashTrigger() != "" {
-		t.Error("restored emulator does not report the captured counters")
+	s.m.Crash()
+	e.post = s.m.CrashSnapshot(nil)
+	return e
+}
+
+func (a endState) equal(b endState) bool {
+	return a.ns == b.ns && a.live == b.live && a.post.Equal(b.post)
+}
+
+// TestSnapshotRestoreRoundTrip is the property test of the fork
+// primitive the campaign engine is built on. For randomized machines
+// and operation scripts, a chain of copy-on-write crash snapshots is
+// captured along one run; restoring any of them onto a structural twin
+// and running a script suffix must end exactly where a machine that
+// really crashed at that instant ends — in any restore order, and when
+// the same snapshot is restored twice in a row (the memoized path).
+func TestSnapshotRestoreRoundTrip(t *testing.T) {
+	cuts := []int{120, 121, 300, 450} // 120 -> 121 shares almost every region
+	for _, kind := range []crash.SystemKind{crash.NVMOnly, crash.Hetero} {
+		for seed := int64(0); seed < 8; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", kind, seed), func(t *testing.T) {
+				// Reference: one from-scratch machine per cut, really crashed.
+				want := make([]endState, len(cuts))
+				for ci, n := range cuts {
+					ref := buildSnapMachine(kind, seed)
+					ref.run(seed+1000, n)
+					ref.m.Crash()
+					want[ci] = ref.finish(seed + 2000)
+				}
+
+				// Recording run: one machine, snapshots chained through prev.
+				a := buildSnapMachine(kind, seed)
+				rng := rand.New(rand.NewSource(seed + 1000))
+				states := make([]*crash.CrashState, len(cuts))
+				var prev *crash.CrashState
+				done := 0
+				for ci, n := range cuts {
+					for ; done < n; done++ {
+						a.step(rng)
+					}
+					prev = a.m.CrashSnapshot(prev)
+					states[ci] = prev
+				}
+
+				// Forks: one reused twin, out of capture order, with a repeat.
+				b := buildSnapMachine(kind, seed)
+				for _, ci := range []int{3, 0, 0, 2, 1, 3} {
+					b.m.RestoreCrash(states[ci])
+					if got := b.finish(seed + 2000); !got.equal(want[ci]) {
+						t.Errorf("fork from the snapshot at step %d diverged from a real crash there (ns %d vs %d)",
+							cuts[ci], got.ns, want[ci].ns)
+					}
+				}
+			})
+		}
 	}
 }

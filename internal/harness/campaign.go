@@ -29,7 +29,6 @@ func RunCampaign(ctx context.Context, o Options) (*Table, error) {
 		Schemes:     o.Schemes,
 		FaultModels: o.FaultModels,
 		Registry:    o.Registry,
-		Replay:      o.Replay,
 		Events:      o.Events,
 		Verbose:     o.Verbose,
 		Out:         o.Out,
@@ -87,7 +86,7 @@ func CampaignTable(rep *campaign.Report) *Table {
 			fmt.Sprintf("%.1f%%", 100*c.RecoveryRate),
 			fmt.Sprintf("%.2f", rework))
 	}
-	t.AddNote("%d injections: seeded random op points + trigger occurrences, fresh machine per injection", rep.Injections)
+	t.AddNote("%d injections: seeded random op points + trigger occurrences, one recovery fork per distinct post-crash state", rep.Injections)
 	t.AddNote("Recovery = verified result after crash; Rework/grain = mean ops redone per crash, in main-loop iterations")
 	return t
 }

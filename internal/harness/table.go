@@ -146,8 +146,7 @@ type Options struct {
 	// CampaignStore, when non-empty, makes the campaign experiment
 	// write every injection's raw outcome row to a columnar result
 	// store (internal/resultstore) at this path. Store bytes are a pure
-	// function of the campaign spec — identical at any Parallel and on
-	// either engine.
+	// function of the campaign spec — identical at any Parallel.
 	CampaignStore string
 	// Seed drives the campaign experiment's crash-point selection; the
 	// default 0 is a valid seed. The figure experiments use fixed
@@ -164,11 +163,6 @@ type Options struct {
 	// fault/persistency models (campaign.Config.FaultModels); nil
 	// sweeps clean fail-stop only.
 	FaultModels []string
-	// Replay switches the campaign experiment to the snapshot/fork
-	// replay engine (campaign.Config.Replay): one recording run per
-	// cell, forked per injection class. The report is byte-identical to
-	// the legacy path; only wall-clock cost differs.
-	Replay bool
 	// Registry resolves scheme names for the campaign experiment; nil
 	// means the process-global registry. The figure experiments always
 	// run the paper's built-in seven cases.

@@ -563,141 +563,6 @@ func (h *Heap) String() string {
 	return fmt.Sprintf("mem.Heap{regions=%d, next=%#x}", len(h.regions), h.next)
 }
 
-// HeapState is a deep-copy snapshot of every region's contents, taken
-// in address order: the live and image slices of all F64 regions
-// concatenated, then likewise for all I64 regions. Region layout
-// (count, order, lengths, addresses) is not captured — a snapshot may
-// only be restored onto a heap with the identical allocation history,
-// which Restore validates.
-type HeapState struct {
-	F64Live  []float64
-	F64Image []float64
-	I64Live  []int64
-	I64Image []int64
-
-	regions int
-}
-
-func growF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growI64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
-
-// Snapshot deep-copies all region contents into st and returns it. A
-// nil st allocates a fresh state; a non-nil st reuses its buffers when
-// they are large enough, so a pooled state snapshots without
-// allocating.
-func (h *Heap) Snapshot(st *HeapState) *HeapState {
-	if st == nil {
-		st = &HeapState{}
-	}
-	nf, ni := 0, 0
-	for _, r := range h.regions {
-		switch r := r.(type) {
-		case *F64:
-			nf += len(r.live)
-		case *I64:
-			ni += len(r.live)
-		default:
-			panic(fmt.Sprintf("mem: cannot snapshot region type %T", r))
-		}
-	}
-	st.regions = len(h.regions)
-	st.F64Live = growF64(st.F64Live, nf)
-	st.F64Image = growF64(st.F64Image, nf)
-	st.I64Live = growI64(st.I64Live, ni)
-	st.I64Image = growI64(st.I64Image, ni)
-	f, i := 0, 0
-	for _, r := range h.regions {
-		switch r := r.(type) {
-		case *F64:
-			copy(st.F64Live[f:], r.live)
-			copy(st.F64Image[f:], r.image)
-			f += len(r.live)
-		case *I64:
-			copy(st.I64Live[i:], r.live)
-			copy(st.I64Image[i:], r.image)
-			i += len(r.live)
-		}
-	}
-	return st
-}
-
-// Restore overwrites every region's live and image contents from st.
-// The heap must have the identical allocation history as the heap st
-// was captured from; a region-count or length mismatch panics.
-func (h *Heap) Restore(st *HeapState) {
-	if st.regions != len(h.regions) {
-		panic(fmt.Sprintf("mem: restore of %d-region state onto %d-region heap",
-			st.regions, len(h.regions)))
-	}
-	f, i := 0, 0
-	for _, r := range h.regions {
-		switch r := r.(type) {
-		case *F64:
-			copy(r.live, st.F64Live[f:])
-			copy(r.image, st.F64Image[f:])
-			f += len(r.live)
-		case *I64:
-			copy(r.live, st.I64Live[i:])
-			copy(r.image, st.I64Image[i:])
-			i += len(r.live)
-		}
-	}
-	if f != len(st.F64Live) || i != len(st.I64Live) {
-		panic(fmt.Sprintf("mem: restore length mismatch (f64 %d != %d or i64 %d != %d)",
-			f, len(st.F64Live), i, len(st.I64Live)))
-	}
-}
-
-// ImagesEqual reports whether the persistent images of two snapshots of
-// the same heap are bit-identical. Floats compare by bit pattern, so
-// distinct NaN payloads count as different (never as spuriously equal).
-func (a *HeapState) ImagesEqual(b *HeapState) bool {
-	if len(a.F64Image) != len(b.F64Image) || len(a.I64Image) != len(b.I64Image) {
-		return false
-	}
-	for i, v := range a.F64Image {
-		if math.Float64bits(v) != math.Float64bits(b.F64Image[i]) {
-			return false
-		}
-	}
-	for i, v := range a.I64Image {
-		if v != b.I64Image[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether two snapshots are bit-identical in both live
-// and image contents.
-func (a *HeapState) Equal(b *HeapState) bool {
-	if !a.ImagesEqual(b) || len(a.F64Live) != len(b.F64Live) || len(a.I64Live) != len(b.I64Live) {
-		return false
-	}
-	for i, v := range a.F64Live {
-		if math.Float64bits(v) != math.Float64bits(b.F64Live[i]) {
-			return false
-		}
-	}
-	for i, v := range a.I64Live {
-		if v != b.I64Live[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // hashSeed starts every content-hash chain of this package.
 const hashSeed uint64 = 14695981039346656037
 
@@ -709,19 +574,6 @@ const hashSeed uint64 = 14695981039346656037
 func HashWord(h, v uint64) uint64 {
 	h = (h ^ v) * 0x9e3779b97f4a7c15
 	return h ^ h>>32
-}
-
-// ImageHash returns a content hash of the persistent images, a cheap
-// prefilter for ImagesEqual-based deduplication.
-func (a *HeapState) ImageHash() uint64 {
-	h := hashSeed
-	for _, v := range a.F64Image {
-		h = HashWord(h, math.Float64bits(v))
-	}
-	for _, v := range a.I64Image {
-		h = HashWord(h, uint64(v))
-	}
-	return h
 }
 
 // ImageState is a copy-on-write snapshot of every region's persistent

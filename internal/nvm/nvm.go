@@ -124,33 +124,6 @@ type System interface {
 	// PersistModel returns the device model of the persistence domain,
 	// used to price checkpoint copies and log writes landing in NVM.
 	PersistModel() DeviceModel
-	// Snapshot deep-copies the system's volatile internal state (e.g.
-	// the DRAM page cache) into st and returns it; nil st allocates, a
-	// non-nil st reuses its buffers. Restore applies a snapshot taken
-	// from a system of the same shape.
-	Snapshot(st *SystemState) *SystemState
-	Restore(st *SystemState)
-}
-
-// SystemState is a deep-copy snapshot of a memory system's volatile
-// internal state. It is opaque; capture it with System.Snapshot and
-// apply it with System.Restore. For Uniform systems it is empty.
-type SystemState struct {
-	pages []pageWay
-	tick  uint64
-}
-
-// Equal reports whether two snapshots capture identical state.
-func (a *SystemState) Equal(b *SystemState) bool {
-	if a.tick != b.tick || len(a.pages) != len(b.pages) {
-		return false
-	}
-	for i := range a.pages {
-		if a.pages[i] != b.pages[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Uniform serves every address from a single device.
@@ -190,19 +163,6 @@ func (u *Uniform) Reset() {}
 
 // PersistModel implements System.
 func (u *Uniform) PersistModel() DeviceModel { return u.Model }
-
-// Snapshot implements System: a uniform system has no volatile state.
-func (u *Uniform) Snapshot(st *SystemState) *SystemState {
-	if st == nil {
-		st = &SystemState{}
-	}
-	st.pages = st.pages[:0]
-	st.tick = 0
-	return st
-}
-
-// Restore implements System.
-func (u *Uniform) Restore(*SystemState) {}
 
 // PageSize is the granularity of the heterogeneous system's DRAM cache.
 const PageSize = 4096
@@ -318,32 +278,6 @@ func (h *Hetero) Reset() { h.pages.reset() }
 
 // PersistModel implements System.
 func (h *Hetero) PersistModel() DeviceModel { return h.nvm }
-
-// Snapshot implements System: deep-copies the DRAM page cache state.
-func (h *Hetero) Snapshot(st *SystemState) *SystemState {
-	if st == nil {
-		st = &SystemState{}
-	}
-	if cap(st.pages) < len(h.pages.ways) {
-		st.pages = make([]pageWay, len(h.pages.ways))
-	} else {
-		st.pages = st.pages[:len(h.pages.ways)]
-	}
-	copy(st.pages, h.pages.ways)
-	st.tick = h.pages.tick
-	return st
-}
-
-// Restore implements System. The page cache must have the capacity st
-// was captured from; a mismatch panics.
-func (h *Hetero) Restore(st *SystemState) {
-	if len(st.pages) != len(h.pages.ways) {
-		panic(fmt.Sprintf("nvm: restore of %d-page state onto %d-page cache",
-			len(st.pages), len(h.pages.ways)))
-	}
-	copy(h.pages.ways, st.pages)
-	h.pages.tick = st.tick
-}
 
 // DRAMModel exposes the DRAM device model (used by checkpoint cost
 // accounting for DRAM-cache flushes).

@@ -11,13 +11,12 @@ import (
 )
 
 // storeConfig is a CI-sized campaign for store integration tests.
-func storeConfig(parallel int, replay bool) campaign.Config {
+func storeConfig(parallel int) campaign.Config {
 	return campaign.Config{
 		Scale:     0.02,
 		Parallel:  parallel,
 		PerCell:   3,
 		Workloads: []string{"mm"},
-		Replay:    replay,
 	}
 }
 
@@ -39,22 +38,14 @@ func runWithStore(t *testing.T, cfg campaign.Config) (*campaign.Report, []byte) 
 }
 
 // TestStoreDeterminism is the tentpole determinism contract: store
-// bytes are identical at -parallel 1 vs 8 and on the legacy vs replay
-// engine.
+// bytes are identical at -parallel 1 vs 8. (That the rows handed to the
+// sink are the right ones is the campaign package's oracle
+// differential.)
 func TestStoreDeterminism(t *testing.T) {
-	var base []byte
-	for _, replay := range []bool{false, true} {
-		for _, parallel := range []int{1, 8} {
-			_, b := runWithStore(t, storeConfig(parallel, replay))
-			if base == nil {
-				base = b
-				continue
-			}
-			if !bytes.Equal(b, base) {
-				t.Errorf("store bytes differ (replay=%v, parallel=%d): %d vs %d bytes",
-					replay, parallel, len(b), len(base))
-			}
-		}
+	_, base := runWithStore(t, storeConfig(1))
+	_, wide := runWithStore(t, storeConfig(8))
+	if !bytes.Equal(wide, base) {
+		t.Errorf("store bytes differ between parallel 1 and 8: %d vs %d bytes", len(base), len(wide))
 	}
 }
 
@@ -62,7 +53,7 @@ func TestStoreDeterminism(t *testing.T) {
 // report rebuilt from the store encodes byte-identically to the live
 // run's report — the v1 envelope is an export of the store.
 func TestEnvelopeFromStore(t *testing.T) {
-	rep, b := runWithStore(t, storeConfig(4, false))
+	rep, b := runWithStore(t, storeConfig(4))
 	want, err := rep.EncodeJSON()
 	if err != nil {
 		t.Fatalf("encode live report: %v", err)
@@ -88,7 +79,7 @@ func TestEnvelopeFromStore(t *testing.T) {
 // cells must error up front — restored aggregates carry no rows, so
 // the store would be silently incomplete.
 func TestStoreSinkRejectsCheckpoints(t *testing.T) {
-	cfg := storeConfig(1, false)
+	cfg := storeConfig(1)
 	rep, err := campaign.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("baseline Run: %v", err)
@@ -105,7 +96,7 @@ func TestStoreSinkRejectsCheckpoints(t *testing.T) {
 // columnar store must be at least 5x smaller than the equivalent
 // per-injection JSON row dump.
 func TestStoreSmallerThanJSON(t *testing.T) {
-	_, b := runWithStore(t, storeConfig(4, false))
+	_, b := runWithStore(t, storeConfig(4))
 	s, err := Open(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -136,7 +127,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateFile: %v", err)
 	}
-	cfg := storeConfig(2, true)
+	cfg := storeConfig(2)
 	cfg.Sink = fw
 	rep, err := campaign.Run(context.Background(), cfg)
 	if err != nil {

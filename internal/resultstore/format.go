@@ -34,10 +34,9 @@
 //
 // # Determinism
 //
-// The campaign feeds the writer through Config.Sink, which both engines
-// drive in plan-major point order on the strictly index-ordered
-// observation path — so store bytes are identical at any -parallel
-// width and across the legacy and replay engines. Strings intern into
+// The campaign feeds the writer through Config.Sink in plan-major point
+// order on the strictly index-ordered observation path — so store bytes
+// are identical at any -parallel width. Strings intern into
 // the dictionary in first-reference order and every integer encoding is
 // positional, so equal row sequences produce equal files.
 package resultstore

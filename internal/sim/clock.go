@@ -34,11 +34,6 @@ func (c *Clock) Advance(d int64) {
 // Reset rewinds the clock to zero.
 func (c *Clock) Reset() { c.ns = 0 }
 
-// SetNow forces the clock to the given simulated time. It exists for
-// snapshot restore, which may rewind time; normal simulation code must
-// use Advance.
-func (c *Clock) SetNow(ns int64) { c.ns = ns }
-
 // Since returns the elapsed simulated nanoseconds since the mark.
 func (c *Clock) Since(mark int64) int64 { return c.ns - mark }
 
@@ -61,12 +56,8 @@ func DefaultCPU(c *Clock) *CPU {
 	return &CPU{Clock: c, OpNS: 0.25}
 }
 
-// Remainder returns the fractional-nanosecond carry accumulated by
-// Compute, for snapshotting.
-func (p *CPU) Remainder() float64 { return p.remainder }
-
-// SetRemainder forces the fractional-nanosecond carry, for snapshot
-// restore.
+// SetRemainder forces the fractional-nanosecond carry accumulated by
+// Compute; the crash protocol clears it.
 func (p *CPU) SetRemainder(r float64) { p.remainder = r }
 
 // Compute charges the clock for ops arithmetic operations.

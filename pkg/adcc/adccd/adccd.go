@@ -13,8 +13,9 @@
 //
 // The service adds no computation of its own: every report it serves is
 // byte-identical to the same spec run directly through
-// adcc.Runner.RunCampaign, whatever the parallelism, engine
-// (spec.Replay), cache state, or number of resume cycles — the
+// adcc.Runner.RunCampaign, whatever the parallelism, cache state, or
+// number of resume cycles (a spec's Replay field is accepted for wire
+// compatibility and ignored: there is one campaign engine) — the
 // determinism contract of the layers below is what makes caching and
 // checkpoint splicing sound. See docs/HTTP_API.md for the wire
 // reference and docs/OPERATIONS.md for running the daemon.

@@ -19,8 +19,8 @@ import (
 
 // tinySpec is the cheapest interesting campaign: one workload, 2%
 // scale, two injections per cell, 12 cells.
-func tinySpec(replay bool) adcc.CampaignSpec {
-	return adcc.CampaignSpec{Workloads: []string{"mm"}, Scale: 0.02, InjectionsPerCell: 2, Replay: replay}
+func tinySpec() adcc.CampaignSpec {
+	return adcc.CampaignSpec{Workloads: []string{"mm"}, Scale: 0.02, InjectionsPerCell: 2}
 }
 
 // directReport runs spec straight through the public Runner and
@@ -58,42 +58,168 @@ func waitDone(t *testing.T, s *Server, id string) adcc.JobInfo {
 
 // TestServiceByteIdentity is the service's core contract: the report
 // served over HTTP is byte-identical to running the same spec directly
-// through Runner.RunCampaign, for both engines and at service
-// parallelism different from the reference run.
+// through Runner.RunCampaign, at service parallelism different from the
+// reference run.
 func TestServiceByteIdentity(t *testing.T) {
-	for _, replay := range []bool{false, true} {
-		srv, err := New(Config{Parallel: 4})
+	srv, err := New(Config{Parallel: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := adccclient.New(ts.URL, nil)
+
+	spec := tinySpec()
+	info, err := c.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if info.Status == adcc.JobFailed {
+		t.Fatalf("job failed: %s", info.Error)
+	}
+	final, err := c.Wait(context.Background(), info.ID, 20*time.Millisecond)
+	if err != nil || final.Status != adcc.JobDone {
+		t.Fatalf("Wait: %v (status %s, err %q)", err, final.Status, final.Error)
+	}
+	got, err := c.Report(context.Background(), info.ID)
+	if err != nil {
+		t.Fatalf("Report: %v", err)
+	}
+	if want := directReport(t, spec); !bytes.Equal(got, want) {
+		t.Errorf("served report differs from direct RunCampaign (%d vs %d bytes)", len(got), len(want))
+	}
+	if final.ShardsDone != final.ShardsTotal || final.ShardsTotal == 0 {
+		t.Errorf("shards %d/%d", final.ShardsDone, final.ShardsTotal)
+	}
+}
+
+// TestReplayFieldAcceptedAndIgnored is the wire-compatibility contract
+// of the retired engine switch: a spec carrying "replay":true passes
+// the strict decoder, shares its cache key, report bytes, and event
+// history with the spec that omits it, and a state dir whose job.json
+// still carries the field loads on restart.
+func TestReplayFieldAcceptedAndIgnored(t *testing.T) {
+	const plain = `{"workloads":["mm"],"scale":0.02,"injections_per_cell":2}`
+	const legacy = `{"workloads":["mm"],"scale":0.02,"injections_per_cell":2,"replay":true}`
+
+	// post submits a raw spec document and returns the response status
+	// and the decoded JobInfo.
+	post := func(url, body string) (int, adcc.JobInfo) {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer resp.Body.Close()
+		var info adcc.JobInfo
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+			t.Fatalf("decode response to %s: %v", body, err)
+		}
+		return resp.StatusCode, info
+	}
+	// history runs body on a fresh server and returns the job's report
+	// and full event history.
+	history := func(body string) ([]byte, []adcc.StreamEvent) {
+		t.Helper()
+		srv, err := New(Config{Parallel: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
 		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		code, info := post(ts.URL, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("POST %s = %d, want 202", body, code)
+		}
+		var events []adcc.StreamEvent
 		c := adccclient.New(ts.URL, nil)
+		if err := c.Events(context.Background(), info.ID, -1, func(e adcc.StreamEvent) error {
+			events = append(events, e)
+			return nil
+		}); err != nil {
+			t.Fatalf("Events: %v", err)
+		}
+		rep, err := srv.Report(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, events
+	}
 
-		spec := tinySpec(replay)
-		info, err := c.Submit(context.Background(), spec)
-		if err != nil {
-			t.Fatalf("replay=%v: Submit: %v", replay, err)
+	dir := t.TempDir()
+	srv, err := New(Config{StateDir: dir, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	code, first := post(ts.URL, legacy)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST with replay = %d, want 202 (strict decoder must accept the field)", code)
+	}
+	if first.Spec.Replay {
+		t.Error("canonical spec still carries Replay")
+	}
+	waitDone(t, srv, first.ID)
+	code, second := post(ts.URL, plain)
+	if code != http.StatusOK || second.ID != first.ID || second.CacheKey != first.CacheKey {
+		t.Errorf("POST without replay = %d job %s key %s, want 200 and the finished job %s key %s",
+			code, second.ID, second.CacheKey, first.ID, first.CacheKey)
+	}
+	if st := srv.Stats(); st.CampaignsRun != 1 {
+		t.Errorf("%d campaigns ran for one cache key", st.CampaignsRun)
+	}
+	want, err := srv.Report(first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	srv.Close()
+
+	// A state dir written when the switch existed: the spec in job.json
+	// says "replay": true.
+	jobFile := filepath.Join(dir, "jobs", first.ID, "job.json")
+	b, err := os.ReadFile(jobFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(b, []byte(`"spec": {`), []byte(`"spec": {
+    "replay": true,`), 1)
+	if bytes.Equal(old, b) {
+		t.Fatalf("job.json has no spec object to patch:\n%s", b)
+	}
+	if err := os.WriteFile(jobFile, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv2, err := New(Config{StateDir: dir, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if info, ok := srv2.Job(first.ID); !ok || info.Status != adcc.JobDone {
+		t.Fatalf("job with replay in job.json after restart: found %v, %+v", ok, info)
+	}
+	if got, err := srv2.Report(first.ID); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("report after restart: err %v, equal %v", err, bytes.Equal(got, want))
+	}
+
+	repA, evA := history(legacy)
+	repB, evB := history(plain)
+	if !bytes.Equal(repA, want) || !bytes.Equal(repB, want) {
+		t.Error("reports differ between the spec with replay and the spec without")
+	}
+	if len(evA) != len(evB) || len(evA) == 0 {
+		t.Fatalf("event histories have %d and %d frames", len(evA), len(evB))
+	}
+	for i := range evA {
+		// Job ids are random; every engine frame, shard marker, and
+		// the terminal frame's shape must match.
+		if evA[i].Seq != evB[i].Seq || evA[i].Type != evB[i].Type ||
+			(evA[i].Type != "done" && !bytes.Equal(evA[i].Data, evB[i].Data)) {
+			t.Fatalf("event %d differs:\n  with replay    %s %s\n  without replay %s %s",
+				i, evA[i].Type, evA[i].Data, evB[i].Type, evB[i].Data)
 		}
-		if info.Status == adcc.JobFailed {
-			t.Fatalf("replay=%v: job failed: %s", replay, info.Error)
-		}
-		final, err := c.Wait(context.Background(), info.ID, 20*time.Millisecond)
-		if err != nil || final.Status != adcc.JobDone {
-			t.Fatalf("replay=%v: Wait: %v (status %s, err %q)", replay, err, final.Status, final.Error)
-		}
-		got, err := c.Report(context.Background(), info.ID)
-		if err != nil {
-			t.Fatalf("replay=%v: Report: %v", replay, err)
-		}
-		if want := directReport(t, spec); !bytes.Equal(got, want) {
-			t.Errorf("replay=%v: served report differs from direct RunCampaign (%d vs %d bytes)",
-				replay, len(got), len(want))
-		}
-		if final.ShardsDone != final.ShardsTotal || final.ShardsTotal == 0 {
-			t.Errorf("replay=%v: shards %d/%d", replay, final.ShardsDone, final.ShardsTotal)
-		}
-		ts.Close()
-		srv.Close()
 	}
 }
 
@@ -107,7 +233,7 @@ func TestCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := srv.Submit(tinySpec(true))
+	info, err := srv.Submit(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +243,7 @@ func TestCacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same key, different spelling (engine choice, list duplicates):
+	// Same key, different spelling (list duplicates):
 	// answered by the live finished job, no new campaign.
 	dup, err := srv.Submit(adcc.CampaignSpec{Workloads: []string{"mm", "mm"}, Scale: 0.02, InjectionsPerCell: 2})
 	if err != nil {
@@ -138,7 +264,7 @@ func TestCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit, err := srv2.Submit(tinySpec(false))
+	hit, err := srv2.Submit(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +289,7 @@ func TestCacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv3.Close()
-	cached, err := srv3.Submit(tinySpec(false))
+	cached, err := srv3.Submit(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +314,7 @@ func TestCacheHit(t *testing.T) {
 // serve a report byte-identical to an uninterrupted run.
 func TestKillAndResume(t *testing.T) {
 	dir := t.TempDir()
-	spec := tinySpec(true)
+	spec := tinySpec()
 	want := directReport(t, spec)
 
 	// One worker, so no other cell can complete while the checkpoint
@@ -253,7 +379,7 @@ func TestKillAndResume(t *testing.T) {
 // the deterministic engine events a direct run emits, in order, with
 // shard_done markers interleaved and a terminal done frame.
 func TestEventStreamMatchesDirect(t *testing.T) {
-	spec := tinySpec(true)
+	spec := tinySpec()
 
 	// Reference: encode the direct runner's events with the same wire
 	// encoding the service uses.
@@ -373,7 +499,7 @@ func TestStoreAndQueryEndpoints(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	info, err := srv.Submit(tinySpec(true))
+	info, err := srv.Submit(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +607,7 @@ func TestStoreArtifactPersistsAndEvicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := srv.Submit(tinySpec(true))
+	info, err := srv.Submit(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +628,7 @@ func TestStoreArtifactPersistsAndEvicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit, err := srv2.Submit(tinySpec(false))
+	hit, err := srv2.Submit(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +638,7 @@ func TestStoreArtifactPersistsAndEvicts(t *testing.T) {
 
 	// A second distinct spec overflows the one-entry cache: the old
 	// envelope and its artifact must go together.
-	other, err := srv2.Submit(adcc.CampaignSpec{Workloads: []string{"mc"}, Scale: 0.02, InjectionsPerCell: 2, Replay: true})
+	other, err := srv2.Submit(adcc.CampaignSpec{Workloads: []string{"mc"}, Scale: 0.02, InjectionsPerCell: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +663,7 @@ func TestEventsOfJobLoadedAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := srv.Submit(tinySpec(true))
+	info, err := srv.Submit(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func WithScale(scale float64) Option {
 }
 
 // WithParallelism bounds how many independent cases (experiment cases,
-// workload runs, campaign injections) execute concurrently; values <= 1
+// workload runs, campaign cells) execute concurrently; values <= 1
 // run serially. Every result — tables, reports, event streams — is
 // byte-identical at any setting.
 func WithParallelism(n int) Option {
@@ -95,17 +95,6 @@ func WithInjectionsPerCell(n int) Option {
 // byte-identical to runners without the option.
 func WithFaultModels(models ...string) Option {
 	return func(r *Runner) { r.faultModels = models }
-}
-
-// WithCampaignReplay switches campaign runs (RunCampaign and the
-// "campaign" experiment) to the snapshot/fork replay engine: one
-// recording run per cell captures a machine snapshot at every
-// scheduled crash point, and each injection forks from its snapshot
-// instead of re-simulating the prefix. The report is byte-identical to
-// the default per-injection path; only the wall-clock cost (and the
-// recording-run Progress events in the stream) differ.
-func WithCampaignReplay(on bool) Option {
-	return func(r *Runner) { r.replay = on }
 }
 
 // WithCampaignResume seeds RunCampaign with cells already aggregated by
@@ -159,7 +148,7 @@ func WithCampaignJSON(path string) Option {
 // "campaign" experiment) write every injection's raw outcome row to a
 // columnar result store at path (conventionally "*.adccs"). The file
 // bytes are a pure function of the campaign spec — identical at any
-// parallelism and on either engine — and OpenResultStore queries them:
+// parallelism — and OpenResultStore queries them:
 // filters, streamed rows, percentile distributions, and the rebuilt
 // campaign report the v1 envelope is exported from. Incompatible with
 // WithCampaignResume: restored cells carry no per-injection rows.
@@ -186,7 +175,6 @@ type Runner struct {
 	workloads     []string
 	perCell       int
 	faultModels   []string
-	replay        bool
 	completed     map[string]CampaignCell
 	onCell        func(CampaignCell)
 	collector     *Collector
@@ -349,7 +337,6 @@ func (r *Runner) RunExperiment(ctx context.Context, name string) (*Table, error)
 		Schemes:       r.schemes,
 		PerCell:       r.perCell,
 		FaultModels:   r.faultModels,
-		Replay:        r.replay,
 		Registry:      r.reg.engineRegistry(),
 		Verbose:       r.verbose,
 		Out:           r.out,
@@ -375,7 +362,6 @@ func (r *Runner) RunCampaign(ctx context.Context) (*CampaignReport, error) {
 		Schemes:     r.schemes,
 		FaultModels: r.faultModels,
 		Registry:    r.reg.engineRegistry(),
-		Replay:      r.replay,
 		Events:      r.sink,
 		Completed:   r.completed,
 		OnCell:      r.onCell,

@@ -15,8 +15,7 @@ import (
 // result cache is keyed by. The zero value is the full default
 // campaign (scale 1.0, seed 0, every workload, every scheme). A spec
 // describes the deterministic result, not the execution: parallelism,
-// event sinks, and output paths are Runner options, and Replay selects
-// an engine whose report is byte-identical to the default one.
+// event sinks, and output paths are Runner options.
 type CampaignSpec struct {
 	// Scale multiplies problem sizes and sweep density; 0 means 1.0.
 	Scale float64 `json:"scale,omitempty"`
@@ -38,18 +37,22 @@ type CampaignSpec struct {
 	// list equivalent to the default back to nil, so fail-stop-only
 	// specs keep their pre-fault-axis cache keys.
 	FaultModels []string `json:"fault_models,omitempty"`
-	// Replay runs the snapshot/fork replay engine instead of the legacy
-	// per-injection engine. The report is byte-identical either way, so
-	// Replay is excluded from CacheKey.
+	// Replay once selected between two campaign engines.
+	//
+	// Deprecated: ignored; there is one engine. The field survives so
+	// stored and in-flight specs carrying "replay" still decode;
+	// Canonical clears it.
 	Replay bool `json:"replay,omitempty"`
 }
 
 // Canonical normalizes the spec without changing the result it
-// describes: Scale 0 becomes 1.0 and the workload/scheme lists are
-// sorted and deduplicated (report cells are emitted in sorted order,
-// so grid selection is order- and duplicate-insensitive). Two specs
-// with equal Canonical forms produce byte-identical reports.
+// describes: Scale 0 becomes 1.0, the ignored Replay is cleared, and
+// the workload/scheme lists are sorted and deduplicated (report cells
+// are emitted in sorted order, so grid selection is order- and
+// duplicate-insensitive). Two specs with equal Canonical forms produce
+// byte-identical reports.
 func (s CampaignSpec) Canonical() CampaignSpec {
+	s.Replay = false
 	if s.Scale <= 0 {
 		s.Scale = 1.0
 	}
@@ -92,14 +95,11 @@ func sortDedup(in []string) []string {
 }
 
 // CacheKey is the content address of the spec's deterministic result:
-// the hex SHA-256 of the canonical spec JSON with Replay cleared
-// (engine choice never changes report bytes). Equal keys mean
+// the hex SHA-256 of the canonical spec JSON. Equal keys mean
 // byte-identical adcc-report/v1 envelopes, which is what lets adccd
 // serve repeat submissions from its result cache without recompute.
 func (s CampaignSpec) CacheKey() string {
-	c := s.Canonical()
-	c.Replay = false
-	b, err := json.Marshal(c)
+	b, err := json.Marshal(s.Canonical())
 	if err != nil {
 		// Marshal of a plain struct of scalars and string slices cannot
 		// fail; keep the signature ergonomic for callers.
@@ -117,7 +117,6 @@ func (s CampaignSpec) Options() []Option {
 		WithScale(s.Canonical().Scale),
 		WithSeed(s.Seed),
 		WithInjectionsPerCell(s.InjectionsPerCell),
-		WithCampaignReplay(s.Replay),
 	}
 	if len(s.Workloads) > 0 {
 		opts = append(opts, WithWorkloads(s.Workloads...))

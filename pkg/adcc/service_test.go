@@ -9,9 +9,9 @@ import (
 
 // TestCampaignSpecCacheKey asserts the content-address contract: the
 // key is invariant under list order, duplicates, default-scale
-// spelling, and engine choice — exactly the transformations that
-// provably do not change report bytes — and sensitive to everything
-// else.
+// spelling, and the ignored Replay field — exactly the transformations
+// that provably do not change report bytes — and sensitive to
+// everything else.
 func TestCampaignSpecCacheKey(t *testing.T) {
 	base := adcc.CampaignSpec{
 		Scale:     1.0,
