@@ -401,21 +401,28 @@ func (r *F64) Set(i int, v float64) {
 // the mutation it covers if other region accesses can intervene —
 // an eviction in that window would freeze partial values into the NVM
 // image with no later writeback.
+//
+// All four range accessors take the sub-slice before billing the
+// simulated access: a range that is out of bounds (recovery code may
+// compute one from a corrupted persistent image) must panic at once,
+// not after the simulator has walked every line of it.
 func (r *F64) LoadRange(i, n int) []float64 {
+	s := r.live[i : i+n]
 	if n > 0 {
 		r.h.acc.Load(r.Addr(i), 8*n)
 	}
-	return r.live[i : i+n]
+	return s
 }
 
 // StoreRange performs a simulated store over elements [i, i+n) and
 // returns the live sub-slice for the caller to fill.
 func (r *F64) StoreRange(i, n int) []float64 {
+	s := r.live[i : i+n]
 	if n > 0 {
 		r.h.acc.Store(r.Addr(i), 8*n)
 	}
 	r.liveVer++
-	return r.live[i : i+n]
+	return s
 }
 
 // Image returns the persistent NVM image of the region. Recovery code
@@ -509,20 +516,22 @@ func (r *I64) Set(i int, v int64) {
 // LoadRange performs a simulated load of elements [i, i+n) and returns
 // the live sub-slice. The caller must treat the result as read-only.
 func (r *I64) LoadRange(i, n int) []int64 {
+	s := r.live[i : i+n]
 	if n > 0 {
 		r.h.acc.Load(r.Addr(i), 8*n)
 	}
-	return r.live[i : i+n]
+	return s
 }
 
 // StoreRange performs a simulated store over elements [i, i+n) and
 // returns the live sub-slice for the caller to fill.
 func (r *I64) StoreRange(i, n int) []int64 {
+	s := r.live[i : i+n]
 	if n > 0 {
 		r.h.acc.Store(r.Addr(i), 8*n)
 	}
 	r.liveVer++
-	return r.live[i : i+n]
+	return s
 }
 
 // Image returns the persistent NVM image of the region.

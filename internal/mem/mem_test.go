@@ -93,6 +93,36 @@ func TestEmptyRangeNoNotification(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeRangePanicsBeforeBilling: a range accessor handed a
+// range past the region (recovery computes ranges from persistent words
+// a bit flip may have corrupted) must panic before the accessor is told
+// about it — billing a 2^37-element load first is what hung cg x bitflip
+// campaigns.
+func TestOutOfRangeRangePanicsBeforeBilling(t *testing.T) {
+	rec := &recordingAccessor{}
+	h := NewHeap(rec)
+	f := h.AllocF64("f", 8)
+	i := h.AllocI64("i", 8)
+	for name, access := range map[string]func(){
+		"F64.LoadRange":  func() { f.LoadRange(4, 1<<37) },
+		"F64.StoreRange": func() { f.StoreRange(4, 1<<37) },
+		"I64.LoadRange":  func() { i.LoadRange(4, 1<<37) },
+		"I64.StoreRange": func() { i.StoreRange(4, 1<<37) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s past the region did not panic", name)
+				}
+			}()
+			access()
+		}()
+	}
+	if n := len(rec.loads) + len(rec.stores); n != 0 {
+		t.Errorf("%d accesses were billed for ranges that do not exist", n)
+	}
+}
+
 func TestWritebackCopiesLiveToImage(t *testing.T) {
 	h := NewHeap(nil)
 	r := h.AllocF64("v", 16)
