@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"adcc/internal/cache"
@@ -113,10 +112,10 @@ type Config struct {
 	// per cell in deterministic grid order, then one Row per crash point
 	// in point order. It is fed the identical sequence at any Parallel
 	// setting, so a sink that serializes what it is handed (the
-	// result-store writer) produces byte-identical output. Sink runs on the sweep's ordered observation
-	// path; keep it fast. Run rejects a Sink combined with Completed
-	// cells: restored aggregates carry no per-injection rows, so the
-	// sink's output would silently omit them.
+	// result-store writer) produces byte-identical output. Sink runs on
+	// the sweep's ordered observation path; keep it fast. Run rejects a
+	// Sink combined with Completed cells: restored aggregates carry no
+	// per-injection rows, so the sink's output would silently omit them.
 	Sink RowSink
 	// Verbose enables progress notes on Out.
 	Verbose bool
@@ -714,14 +713,16 @@ func runCells(ctx context.Context, cfg Config, plans []plan, cellWallNS []int64)
 				}
 			}
 			if cfg.OnCell != nil {
-				cfg.OnCell(aggregateCell(plans[i], inj, atomic.LoadInt64(&cellWallNS[i])))
+				cfg.OnCell(aggregateCell(plans[i], inj, cellWallNS[i]))
 			}
 		}
 	}
 	perCell, err := engine.RunCasesObserved(ctx, cfg.Parallel, len(plans), func(i int) ([]InjectionRow, error) {
 		start := time.Now()
 		inj, err := runCell(ctx, cfg, plans[i])
-		atomic.AddInt64(&cellWallNS[i], time.Since(start).Nanoseconds())
+		// Written once, by the one worker that ran the cell; the
+		// executor's collection orders it before every reader.
+		cellWallNS[i] = time.Since(start).Nanoseconds()
 		return inj, err
 	}, observe)
 	if err != nil {

@@ -89,7 +89,7 @@ type endState struct {
 func (s *snapMachine) finish(seed int64) endState {
 	mark := s.m.Clock.Now()
 	s.run(seed, 300)
-	e := endState{ns: s.m.Clock.Since(mark), live: 14695981039346656037}
+	e := endState{ns: s.m.Clock.Since(mark)}
 	for _, r := range s.f {
 		for _, v := range r.Live() {
 			e.live = mem.HashWord(e.live, math.Float64bits(v))
