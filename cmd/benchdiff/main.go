@@ -1,10 +1,9 @@
 // Command benchdiff compares two benchmark result files produced by
 // `adccbench -bench -json` and exits non-zero when the candidate
 // regresses against the baseline. It reads the adcc-report/v1
-// envelope, bare legacy adcc-bench/v1 suites (so pre-envelope
-// baselines keep working), and columnar result stores written with
-// -store — a store's cell aggregates are rebuilt through the query
-// layer and compared like a campaign report's.
+// envelope and columnar result stores written with -store — a store's
+// cell aggregates are rebuilt through the query layer and compared like
+// a campaign report's.
 //
 // Usage:
 //
@@ -46,8 +45,7 @@ import (
 	"adcc/pkg/adcc"
 )
 
-// readSuite loads a bench suite from an enveloped or legacy report
-// file, or — when the path is a columnar result store — from the cell
+// readSuite loads a bench suite from a report file, or — when the path is a columnar result store — from the cell
 // aggregates rebuilt by the store's query layer. Either way duplicate
 // benchmark names are rejected: in a plain name index the last row
 // would silently win and the comparison would prove nothing about the

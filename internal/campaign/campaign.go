@@ -31,18 +31,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"time"
 
 	"adcc/internal/cache"
-	"adcc/internal/core"
 	"adcc/internal/crash"
-	"adcc/internal/dense"
 	"adcc/internal/engine"
-	"adcc/internal/kvlog"
-	"adcc/internal/mc"
+	"adcc/internal/families"
 	"adcc/internal/mem"
-	"adcc/internal/sparse"
-	"adcc/internal/stencil"
 )
 
 // Config parameterizes a campaign run.
@@ -61,12 +57,13 @@ type Config struct {
 	// PerCell overrides the number of injections per cell (0 = scaled
 	// default: 120 at scale 1.0, floor 8).
 	PerCell int
-	// Workloads restricts the sweep to the named workloads ("cg", "mm",
-	// "mc"); nil means all three.
+	// Workloads restricts the sweep to the named workload families of
+	// Registry; nil means every registered family, in registration order.
+	// An unknown name is an error.
 	Workloads []string
-	// Schemes restricts the sweep to the named schemes; nil means every
-	// built-in scheme supported by each workload. Names outside the
-	// built-in set are resolved in Registry and added to every selected
+	// Schemes restricts the sweep to the named schemes; nil means each
+	// family's own list (engine.Family.Schemes). Names outside a family's
+	// list are resolved in Registry and added to every selected
 	// workload's grid, so explicitly named custom schemes are swept
 	// (under the extended implementation for KindAlgo schemes, under
 	// the Guard-driven baselines otherwise).
@@ -80,10 +77,11 @@ type Config struct {
 	// cache keys derived from them) are byte-identical with or without
 	// an explicit "failstop" entry.
 	FaultModels []string
-	// Registry resolves scheme names; nil means the process-global
-	// registry (so pre-instance-registry callers keep working). Custom
-	// schemes registered on an instance registry become sweepable by
-	// passing that registry here and naming them in Schemes.
+	// Registry holds the workload table and resolves scheme names; nil
+	// means the built-ins (families.NewRegistry). Workload families
+	// registered on an instance registry join the grid after the
+	// built-ins; custom schemes become sweepable by naming them in
+	// Schemes.
 	Registry *engine.Registry
 	// Events, when non-nil, receives a "campaign/profile" Progress event
 	// per profiled cell, then per recorded cell a "campaign/record"
@@ -129,27 +127,19 @@ func (c Config) scale() float64 {
 	return c.Scale
 }
 
-func (c Config) scaleInt(v, floor int) int {
-	s := int(float64(v) * c.scale())
-	if s < floor {
-		return floor
-	}
-	return s
-}
-
 func (c Config) perCell() int {
 	if c.PerCell > 0 {
 		return c.PerCell
 	}
-	return c.scaleInt(120, 8)
+	return max(8, int(120*c.scale()))
 }
 
-// registry returns the scheme registry the campaign resolves names in.
+// registry returns the registry the campaign resolves names in.
 func (c Config) registry() *engine.Registry {
 	if c.Registry != nil {
 		return c.Registry
 	}
-	return engine.Default()
+	return families.NewRegistry()
 }
 
 func (c Config) logf(format string, args ...any) {
@@ -168,7 +158,7 @@ const campaignLLCBytes = 1 << 20
 // the sweep grid. FaultName is the canonical model name, or "" for
 // clean fail-stop so fail-stop cells keep their legacy keys.
 type cell struct {
-	Workload  string
+	Family    engine.Family
 	Scheme    engine.Scheme
 	System    crash.SystemKind
 	Fault     crash.FaultModel
@@ -176,7 +166,7 @@ type cell struct {
 }
 
 func (c cell) String() string {
-	s := fmt.Sprintf("%s/%s@%s", c.Workload, c.Scheme.Name(), c.System)
+	s := fmt.Sprintf("%s/%s@%s", c.Family.Name, c.Scheme.Name(), c.System)
 	if c.FaultName != "" {
 		s += "+" + c.FaultName
 	}
@@ -191,7 +181,7 @@ func (c cell) String() string {
 // differences across models measure the model, not a different sample.
 func (c cell) seed(base int64) int64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%d|%d", c.Workload, c.Scheme.Name(), c.System, base)
+	fmt.Fprintf(h, "%s|%s|%d|%d", c.Family.Name, c.Scheme.Name(), c.System, base)
 	return int64(h.Sum64() >> 1)
 }
 
@@ -207,38 +197,6 @@ func (c cell) fault(base int64) crash.FaultModel {
 	fmt.Fprintf(h, "%s|fault|%d", c.String(), base)
 	f.Seed = int64(h.Sum64() >> 1)
 	return f
-}
-
-// workloadNames is the sweep order of the paper's three studies plus
-// the stencil and served-traffic KV extension families.
-var workloadNames = []string{"cg", "mm", "mc", "stencil", "kvlog"}
-
-// schemesFor returns the schemes a workload can run AND recover under.
-// CG and MM pair the extended (algorithm-directed) implementation with
-// a single algo scheme: their algorithm-directed design has no
-// flush-policy variants (FlushPolicy only differentiates MC and the
-// stencil), and the campaign's System axis already covers both
-// platforms, so listing algo-NVM/DRAM too would re-run an identical
-// configuration under a different label. MC selects its mechanism
-// entirely through the scheme, so it sweeps all algo variants including
-// the rejected index-only and every-iteration designs; the stencil does
-// the same minus the redundant algo-NVM/DRAM label.
-func schemesFor(workload string) []string {
-	conventional := []string{
-		engine.SchemeNative, engine.SchemeCkptHDD, engine.SchemeCkptNVM,
-		engine.SchemeCkptHetero, engine.SchemePMEM,
-	}
-	switch workload {
-	case "mc":
-		return append(conventional,
-			engine.SchemeAlgoNVM, engine.SchemeAlgoHetero,
-			engine.SchemeAlgoNaive, engine.SchemeAlgoEvery)
-	case "stencil", "kvlog":
-		return append(conventional,
-			engine.SchemeAlgoNVM, engine.SchemeAlgoNaive, engine.SchemeAlgoEvery)
-	default:
-		return append(conventional, engine.SchemeAlgoNVM)
-	}
 }
 
 // systems is the sweep order of the paper's two platforms. Every cell
@@ -298,63 +256,46 @@ func (c Config) CellKeys() ([]string, error) {
 // cells enumerates the sweep grid in deterministic order, honoring the
 // config's workload/scheme filters.
 func (c Config) cells() ([]cell, error) {
-	inWorkloads := func(w string) bool {
-		if len(c.Workloads) == 0 {
-			return true
+	reg := c.registry()
+	for _, w := range c.Workloads {
+		if _, ok := reg.Family(w); !ok {
+			return nil, fmt.Errorf("campaign: unknown workload %q", w)
 		}
-		for _, x := range c.Workloads {
-			if x == w {
-				return true
-			}
-		}
-		return false
-	}
-	inSchemes := func(s string) bool {
-		if len(c.Schemes) == 0 {
-			return true
-		}
-		for _, x := range c.Schemes {
-			if x == s {
-				return true
-			}
-		}
-		return false
 	}
 	faults, err := c.faultModels()
 	if err != nil {
 		return nil, err
 	}
 	var out []cell
-	for _, w := range workloadNames {
-		if !inWorkloads(w) {
+	for _, fam := range reg.Families() {
+		if len(c.Workloads) > 0 && !slices.Contains(c.Workloads, fam.Name) {
 			continue
 		}
-		// The workload's built-in grid, plus any explicitly named
-		// scheme outside it (custom schemes from the config's
-		// registry), in the order they were named.
-		candidates := schemesFor(w)
-		builtin := map[string]bool{}
-		for _, name := range candidates {
-			builtin[name] = true
+		// The family's own grid (a family without scheme-selected
+		// variants gets the default one), plus any explicitly named
+		// scheme outside it (custom schemes from the config's registry),
+		// in the order they were named.
+		candidates := slices.Clone(fam.Schemes)
+		if fam.Schemes == nil {
+			candidates = slices.Clone(engine.DefaultCampaignSchemes)
 		}
 		for _, name := range c.Schemes {
-			if !builtin[name] {
+			if !slices.Contains(candidates, name) {
 				candidates = append(candidates, name)
-				builtin[name] = true
 			}
 		}
 		for _, name := range candidates {
-			if !inSchemes(name) {
+			if len(c.Schemes) > 0 && !slices.Contains(c.Schemes, name) {
 				continue
 			}
-			sc, ok := c.registry().Lookup(name)
+			sc, ok := reg.Lookup(name)
 			if !ok {
 				return nil, fmt.Errorf("campaign: unknown scheme %q", name)
 			}
 			for _, sys := range systems {
 				for _, fa := range faults {
 					out = append(out, cell{
-						Workload: w, Scheme: sc, System: sys,
+						Family: fam, Scheme: sc, System: sys,
 						Fault: fa.model, FaultName: fa.name,
 					})
 				}
@@ -386,101 +327,6 @@ func (c cell) newMachine() *crash.Machine {
 			FlushFree:         c.Fault.Kind == crash.EADR,
 		},
 	})
-}
-
-// cellAssets holds the expensive pure inputs of a workload — the
-// generated CG matrix and the MM verification oracle. They depend only
-// on the workload name and the campaign scale, so one instance per
-// workload is computed up front and shared read-only by every cell and
-// injection.
-type cellAssets struct {
-	cgA      *sparse.CSR
-	mmWant   *dense.Matrix
-	heatWant []float64
-	kvWant   map[int64]int64
-}
-
-// newAssets precomputes a workload's shared inputs.
-func newAssets(workload string, cfg Config) *cellAssets {
-	as := &cellAssets{}
-	switch workload {
-	case "cg":
-		as.cgA = sparse.GenSPD(cfg.scaleInt(1200, 300), 9, 11)
-	case "mm":
-		as.mmWant = core.MMWant(mmOpts(cfg))
-	case "stencil":
-		as.heatWant = stencil.Want(heatOpts(cfg))
-	case "kvlog":
-		as.kvWant = kvlog.Oracle(kvlogOpts(cfg))
-	}
-	return as
-}
-
-// mmOpts is the MM configuration at the campaign scale.
-func mmOpts(cfg Config) core.MMOptions {
-	const k = 16
-	return core.MMOptions{N: k * cfg.scaleInt(8, 3), K: k, Seed: 12}
-}
-
-// heatOpts is the stencil configuration at the campaign scale. At scale
-// 1.0 the plane history (~1 MB) straddles the campaign LLC, so both
-// evicted-and-persistent and cache-resident-and-lost planes appear in
-// the sweep.
-func heatOpts(cfg Config) stencil.Options {
-	return stencil.Options{N: cfg.scaleInt(96, 32), MaxIter: 12, Seed: 21}
-}
-
-// kvlogOpts is the KV-store configuration at the campaign scale. The
-// store (index + log, ~25 KB at scale 1.0) stays LLC-resident, which is
-// exactly the regime where the naive index-only design loses its
-// unflushed log records.
-func kvlogOpts(cfg Config) kvlog.Options {
-	return kvlog.Options{Requests: cfg.scaleInt(600, 120), KeySpace: 128, ScanLen: 8, CkptEvery: 16, Seed: 33}
-}
-
-// newWorkload builds a fresh workload instance for one injection of the
-// cell. Sizes scale with the campaign scale; seeds are fixed, so the
-// only varying coordinate of an injection is its crash point.
-func (c cell) newWorkload(cfg Config, as *cellAssets) engine.Workload {
-	algo := c.Scheme.Kind() == engine.KindAlgo
-	switch c.Workload {
-	case "cg":
-		opts := core.CGOptions{MaxIter: 15, Seed: 11}
-		if algo {
-			return &core.CGWorkload{A: as.cgA, Opts: opts}
-		}
-		return &core.BaselineCGWorkload{A: as.cgA, Opts: opts, Scheme: c.Scheme}
-	case "mm":
-		opts := mmOpts(cfg)
-		if algo {
-			return &core.MMWorkload{Opts: opts, Want: as.mmWant}
-		}
-		return &core.BaselineMMWorkload{Opts: opts, Want: as.mmWant, Scheme: c.Scheme}
-	case "mc":
-		return &core.MCWorkload{
-			Cfg: mc.Config{
-				Nuclides:         16,
-				PointsPerNuclide: 128,
-				Lookups:          cfg.scaleInt(20_000, 2500),
-				Seed:             42,
-			},
-			Scheme: c.Scheme,
-		}
-	case "stencil":
-		opts := heatOpts(cfg)
-		if algo {
-			return &stencil.HeatWorkload{Opts: opts, Want: as.heatWant, Scheme: c.Scheme}
-		}
-		return &stencil.BaselineWorkload{Opts: opts, Want: as.heatWant, Scheme: c.Scheme}
-	case "kvlog":
-		opts := kvlogOpts(cfg)
-		if algo {
-			return &kvlog.StoreWorkload{Opts: opts, Want: as.kvWant, Scheme: c.Scheme}
-		}
-		return &kvlog.BaselineWorkload{Opts: opts, Want: as.kvWant, Scheme: c.Scheme}
-	default:
-		panic(fmt.Sprintf("campaign: unknown workload %q", c.Workload))
-	}
 }
 
 // InjectionRow is the outcome of one crash point — the unit record the
@@ -523,18 +369,29 @@ type RowSink interface {
 	Row(InjectionRow)
 }
 
-// plan is one cell with its shared assets and enumerated crash points.
+// plan is one cell with its family's shared inputs and enumerated crash
+// points.
 type plan struct {
 	Cell    cell
-	Assets  *cellAssets
+	Shared  any
 	Profile crash.RunProfile
 	Points  []crash.CrashPoint
+}
+
+// prepared builds a fresh workload instance for one run of the cell
+// (profile, recording, or fork) and binds it to m.
+func (p plan) prepared(cfg Config, m *crash.Machine, em *crash.Emulator) (engine.Workload, error) {
+	w, err := p.Cell.Family.New(p.Cell.Scheme, cfg.scale(), p.Shared)
+	if err == nil {
+		err = w.Prepare(m, em)
+	}
+	return w, err
 }
 
 // info renders the plan's coordinates and constants for RowSinks.
 func (p plan) info() CellInfo {
 	return CellInfo{
-		Workload:   p.Cell.Workload,
+		Workload:   p.Cell.Family.Name,
 		Scheme:     p.Cell.Scheme.Name(),
 		System:     p.Cell.System.String(),
 		FaultModel: p.Cell.FaultName,
@@ -585,11 +442,13 @@ func run(ctx context.Context, cfg Config, execute stage2) (*Report, error) {
 		cfg.logf("campaign: %d of %d cells restored from checkpoints", len(restored), len(grid))
 	}
 
-	// Shared per-workload inputs (CG matrix, MM oracle), computed once.
-	assets := map[string]*cellAssets{}
+	// Each family's shared inputs (CG matrix, verification oracles)
+	// depend only on the family and the scale, so they are computed once
+	// here and read by every cell and fork.
+	shared := map[string]any{}
 	for _, cl := range cells {
-		if assets[cl.Workload] == nil {
-			assets[cl.Workload] = newAssets(cl.Workload, cfg)
+		if _, ok := shared[cl.Family.Name]; !ok {
+			shared[cl.Family.Name] = cl.Family.SharedAt(cfg.scale())
 		}
 	}
 
@@ -603,11 +462,11 @@ func run(ctx context.Context, cfg Config, execute stage2) (*Report, error) {
 	}
 	plans, err := engine.RunCasesObserved(ctx, cfg.Parallel, len(cells), func(i int) (plan, error) {
 		cl := cells[i]
-		as := assets[cl.Workload]
+		p := plan{Cell: cl, Shared: shared[cl.Family.Name]}
 		m := cl.newMachine()
 		em := crash.NewEmulator(m)
-		w := cl.newWorkload(cfg, as)
-		if err := w.Prepare(m, em); err != nil {
+		w, err := p.prepared(cfg, m, em)
+		if err != nil {
 			return plan{}, fmt.Errorf("campaign: %s: %w", cl, err)
 		}
 		prof := em.Profile(func() { w.Run(w.Start()) })
@@ -618,7 +477,8 @@ func run(ctx context.Context, cfg Config, execute stage2) (*Report, error) {
 			return plan{}, fmt.Errorf("campaign: %s: crash-free run failed verification: %w", cl, err)
 		}
 		cfg.logf("campaign: %s profile: %d ops, %d trigger names", cl, prof.Ops, len(prof.Triggers))
-		return plan{Cell: cl, Assets: as, Profile: prof, Points: prof.Points(perCell, cl.seed(cfg.Seed))}, nil
+		p.Profile, p.Points = prof, prof.Points(perCell, cl.seed(cfg.Seed))
+		return p, nil
 	}, observeProfile)
 	if err != nil {
 		return nil, err
@@ -657,7 +517,7 @@ func run(ctx context.Context, cfg Config, execute stage2) (*Report, error) {
 // uninterrupted run assembles.
 func aggregateCell(p plan, inj []InjectionRow, wallNS int64) CellReport {
 	cr := CellReport{
-		Workload:   p.Cell.Workload,
+		Workload:   p.Cell.Family.Name,
 		Scheme:     p.Cell.Scheme.Name(),
 		System:     p.Cell.System.String(),
 		FaultModel: p.Cell.FaultName,
@@ -765,8 +625,8 @@ func runCell(ctx context.Context, cfg Config, p plan) ([]InjectionRow, error) {
 	injections := make([]InjectionRow, len(p.Points))
 	m := p.Cell.newMachine()
 	em := crash.NewEmulator(m)
-	w := p.Cell.newWorkload(cfg, p.Assets)
-	if err := w.Prepare(m, em); err != nil {
+	w, err := p.prepared(cfg, m, em)
+	if err != nil {
 		for i := range injections {
 			injections[i] = expandInjection(classResult{prepErr: true}, 0, p)
 		}
@@ -865,12 +725,11 @@ func newForker(cfg Config, p plan) *forker {
 	f := &forker{p: p}
 	f.m = p.Cell.newMachine()
 	f.em = crash.NewEmulator(f.m)
-	f.w = p.Cell.newWorkload(cfg, p.Assets)
 	acc := f.m.Heap.Accessor()
 	f.m.Heap.SetAccessor(mem.NullAccessor{})
-	err := f.w.Prepare(f.m, f.em)
+	w, err := p.prepared(cfg, f.m, f.em)
 	f.m.Heap.SetAccessor(acc)
-	f.prepErr = err != nil
+	f.w, f.prepErr = w, err != nil
 	return f
 }
 

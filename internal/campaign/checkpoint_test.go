@@ -115,4 +115,14 @@ func TestCellKeys(t *testing.T) {
 	if _, err := bad.CellKeys(); err == nil {
 		t.Error("CellKeys accepted an unknown scheme")
 	}
+	// A typo beside a valid name must not silently shrink the sweep.
+	typo := tinyConfig(1)
+	typo.Workloads = []string{"mm", "bogus"}
+	want := `campaign: unknown workload "bogus"`
+	if _, err := typo.CellKeys(); err == nil || err.Error() != want {
+		t.Errorf("CellKeys with a mixed valid+unknown workload list: %v, want %s", err, want)
+	}
+	if _, err := Run(context.Background(), typo); err == nil || err.Error() != want {
+		t.Errorf("Run with a mixed valid+unknown workload list: %v, want %s", err, want)
+	}
 }

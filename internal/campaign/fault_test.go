@@ -173,15 +173,14 @@ func TestCorruptLogHeadClassifiesUnrecoverable(t *testing.T) {
 		t.Fatalf("cells: %v", err)
 	}
 	cl := cells[0]
-	as := newAssets(cl.Workload, cfg)
+	p := plan{Cell: cl, Shared: cl.Family.SharedAt(cfg.scale())}
 	m := cl.newMachine()
 	em := crash.NewEmulator(m)
-	w := cl.newWorkload(cfg, as)
-	if err := w.Prepare(m, em); err != nil {
+	w, err := p.prepared(cfg, m, em)
+	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	prof := em.Profile(func() { w.Run(w.Start()) })
-	p := plan{Cell: cl, Assets: as, Profile: prof}
+	p.Profile = em.Profile(func() { w.Run(w.Start()) })
 
 	var head mem.Region
 	for _, r := range m.Heap.Regions() {

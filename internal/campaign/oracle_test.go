@@ -83,8 +83,8 @@ func runLegacy(ctx context.Context, cfg Config, plans []plan, cellWallNS []int64
 func runInjection(cfg Config, p plan, pt crash.CrashPoint) InjectionRow {
 	m := p.Cell.newMachine()
 	em := crash.NewEmulator(m)
-	w := p.Cell.newWorkload(cfg, p.Assets)
-	if err := w.Prepare(m, em); err != nil {
+	w, err := p.prepared(cfg, m, em)
+	if err != nil {
 		return expandInjection(classResult{prepErr: true}, 0, p)
 	}
 	if err := em.SetFault(p.Cell.fault(cfg.Seed)); err != nil {

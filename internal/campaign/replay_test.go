@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adcc/internal/crash"
+	"adcc/internal/engine"
 )
 
 // TestReplayWallMetrics asserts the engine accounts per-cell wall
@@ -39,26 +40,22 @@ func BenchmarkSnapshotFork(b *testing.B) {
 		b.Fatalf("cells: %v", err)
 	}
 	cl := cells[0]
-	as := newAssets(cl.Workload, cfg)
+	benchPlan = plan{Cell: cl, Shared: cl.Family.SharedAt(cfg.scale())}
+	prepared := func() (*crash.Machine, *crash.Emulator, engine.Workload) {
+		m := cl.newMachine()
+		em := crash.NewEmulator(m)
+		w, err := benchPlan.prepared(cfg, m, em)
+		if err != nil {
+			b.Fatalf("prepare: %v", err)
+		}
+		return m, em, w
+	}
 
 	// Profile on one machine, then record a mid-run snapshot on a fresh
 	// one, exactly as the engine does.
-	{
-		m := cl.newMachine()
-		em := crash.NewEmulator(m)
-		w := cl.newWorkload(cfg, as)
-		if err := w.Prepare(m, em); err != nil {
-			b.Fatalf("prepare: %v", err)
-		}
-		prof := em.Profile(func() { w.Run(w.Start()) })
-		benchPlan = plan{Cell: cl, Assets: as, Profile: prof}
-	}
-	m := cl.newMachine()
-	em := crash.NewEmulator(m)
-	w := cl.newWorkload(cfg, as)
-	if err := w.Prepare(m, em); err != nil {
-		b.Fatalf("prepare: %v", err)
-	}
+	_, em, w := prepared()
+	benchPlan.Profile = em.Profile(func() { w.Run(w.Start()) })
+	m, em, w := prepared()
 	var st *crash.CrashState
 	em.Record(func() { w.Run(w.Start()) },
 		[]crash.CrashPoint{{Op: benchPlan.Profile.Ops / 2}},

@@ -30,11 +30,11 @@ func TestRegistryHasBuiltinSchemes(t *testing.T) {
 		SchemeAlgoNaive:  {KindAlgo, crash.NVMOnly, FlushIndexOnly},
 		SchemeAlgoEvery:  {KindAlgo, crash.NVMOnly, FlushEveryIter},
 	}
-	if got := len(Names()); got < len(want) {
+	if got := len(defaultRegistry.Names()); got < len(want) {
 		t.Fatalf("registry holds %d schemes, want >= %d", got, len(want))
 	}
 	for name, w := range want {
-		sc, ok := Lookup(name)
+		sc, ok := defaultRegistry.Lookup(name)
 		if !ok {
 			t.Fatalf("scheme %q not registered", name)
 		}
@@ -49,7 +49,7 @@ func TestRegistryHasBuiltinSchemes(t *testing.T) {
 }
 
 func TestLookupUnknown(t *testing.T) {
-	if _, ok := Lookup("no-such-scheme"); ok {
+	if _, ok := defaultRegistry.Lookup("no-such-scheme"); ok {
 		t.Fatal("Lookup accepted an unknown name")
 	}
 	defer func() {
@@ -61,12 +61,20 @@ func TestLookupUnknown(t *testing.T) {
 }
 
 func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	Register(&scheme{name: SchemeNative})
+	if err := defaultRegistry.Register(&scheme{name: SchemeNative}); err == nil {
+		t.Fatal("duplicate Register returned nil")
+	}
+	r := NewRegistry()
+	fam := Family{Name: "w", New: func(Scheme, float64, any) (Workload, error) { return nil, nil }}
+	if err := r.RegisterFamily(fam); err != nil {
+		t.Fatalf("first RegisterFamily: %v", err)
+	}
+	if err := r.RegisterFamily(fam); err == nil {
+		t.Fatal("duplicate RegisterFamily returned nil")
+	}
+	if err := r.RegisterFamily(Family{Name: "no-factory"}); err == nil {
+		t.Fatal("RegisterFamily without New returned nil")
+	}
 }
 
 func TestSevenCasesOrder(t *testing.T) {

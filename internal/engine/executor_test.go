@@ -38,7 +38,7 @@ func TestInstanceRegistriesAreIndependent(t *testing.T) {
 	if _, ok := b.Lookup("only-in-a"); ok {
 		t.Fatal("scheme leaked into an unrelated registry")
 	}
-	if _, ok := Lookup("only-in-a"); ok {
+	if _, ok := defaultRegistry.Lookup("only-in-a"); ok {
 		t.Fatal("scheme leaked into the process-global registry")
 	}
 	if got, want := len(b.SevenCases()), 7; got != want {

@@ -151,17 +151,19 @@ func (s *scheme) NewGuard(m *crash.Machine, logElems int) Guard {
 	}
 }
 
-// Registry is an instance-scoped scheme registry. Each Registry is an
-// independent namespace: embedders build their own (usually via
-// pkg/adcc, which seeds the built-in schemes), register custom schemes
-// without init-order coupling, and hand the registry to the runner or
-// campaign that should see it. All methods are safe for concurrent use —
-// the experiment drivers read registries from worker goroutines.
+// Registry is an instance-scoped registry of schemes and workload
+// families. Each Registry is an independent namespace: embedders build
+// their own (usually via pkg/adcc, which seeds the built-ins), register
+// custom schemes and workloads without init-order coupling, and hand the
+// registry to the runner or campaign that should see it. All methods are
+// safe for concurrent use — the experiment drivers read registries from
+// worker goroutines.
 //
 // The zero value is not usable; call NewRegistry or NewBuiltinRegistry.
 type Registry struct {
-	mu      sync.RWMutex
-	schemes map[string]Scheme
+	mu       sync.RWMutex
+	schemes  map[string]Scheme
+	families []Family
 }
 
 // NewRegistry returns an empty registry.
@@ -255,42 +257,15 @@ func (r *Registry) SevenCases() []Scheme {
 	return out
 }
 
-// defaultRegistry is the process-global registry behind the deprecated
+// defaultRegistry is the process-global registry behind the
 // package-level functions. Internal callers that predate instance
 // registries still resolve built-in scheme names through it.
 var defaultRegistry = NewBuiltinRegistry()
-
-// Default returns the process-global registry. It exists only as a
-// shim for internal callers that predate instance registries; new code
-// should build an instance registry (NewRegistry / NewBuiltinRegistry,
-// or pkg/adcc's Registry) and pass it explicitly.
-func Default() *Registry { return defaultRegistry }
-
-// Register adds a scheme to the process-global registry. Registering a
-// name twice panics with the conflicting name.
-//
-// Deprecated: use an instance Registry, whose Register reports
-// conflicts as errors instead of panicking.
-func Register(s Scheme) {
-	if err := defaultRegistry.Register(s); err != nil {
-		panic("engine: " + err.Error())
-	}
-}
-
-// Lookup finds a scheme by name in the process-global registry. It is
-// a compatibility shim for internal callers; new code should resolve
-// names on an instance Registry.
-func Lookup(name string) (Scheme, bool) { return defaultRegistry.Lookup(name) }
 
 // MustLookup finds a scheme by name in the process-global registry,
 // panicking on unknown names. It is a compatibility shim for internal
 // callers; new code should resolve names on an instance Registry.
 func MustLookup(name string) Scheme { return defaultRegistry.MustLookup(name) }
-
-// Names returns every scheme name in the process-global registry,
-// sorted. It is a compatibility shim for internal callers; new code
-// should use an instance Registry.
-func Names() []string { return defaultRegistry.Names() }
 
 // SevenCases returns the paper's seven-case comparison from the
 // process-global registry. It is a compatibility shim for internal

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"fmt"
+	"slices"
+
 	"adcc/internal/crash"
 )
 
@@ -40,4 +43,75 @@ type Workload interface {
 	// Metrics reports workload-specific measurements of the last run
 	// (residuals, per-iteration times, recovery statistics).
 	Metrics() map[string]float64
+}
+
+// Family is one row of the workload table: everything a sweep needs to
+// know about a workload without importing it. The campaign, the public
+// registry, and the family experiments all read the same entries (the
+// built-in five live in internal/families).
+type Family struct {
+	// Name identifies the workload in registries, specs, and reports.
+	Name string
+	// Schemes lists the schemes the workload is swept under, as written.
+	// Nil means it has no scheme-selected variants: a seven-case sweep
+	// covers it, and the campaign sweeps DefaultCampaignSchemes.
+	Schemes []string
+	// Shared, when non-nil, builds the pure inputs every instance at a
+	// scale reads but never writes (a generated matrix, a verification
+	// oracle). Sweeps call it once per scale and hand the result to New.
+	Shared func(scale float64) any
+	// New builds a fresh, unprepared instance for one run under sc.
+	// shared is Shared(scale)'s result, nil when Shared is nil.
+	New func(sc Scheme, scale float64, shared any) (Workload, error)
+}
+
+// SharedAt builds the family's shared inputs at scale.
+func (f Family) SharedAt(scale float64) any {
+	if f.Shared == nil {
+		return nil
+	}
+	return f.Shared(scale)
+}
+
+// DefaultCampaignSchemes is the campaign grid of a family with nil
+// Schemes: the five conventional mechanisms plus one algorithm-directed
+// scheme. The campaign's System axis already covers both platforms, so
+// listing algo-NVM/DRAM too would re-run an identical configuration
+// under a different label.
+var DefaultCampaignSchemes = []string{
+	SchemeNative, SchemeCkptHDD, SchemeCkptNVM, SchemeCkptHetero,
+	SchemePMEM, SchemeAlgoNVM,
+}
+
+// RegisterFamily adds a workload family; families enumerate in
+// registration order. An empty name, a nil New, or a name already
+// present returns an error.
+func (r *Registry) RegisterFamily(f Family) error {
+	if f.Name == "" || f.New == nil {
+		return fmt.Errorf("incomplete workload (need Name and New)")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if slices.ContainsFunc(r.families, func(g Family) bool { return g.Name == f.Name }) {
+		return fmt.Errorf("duplicate workload %q", f.Name)
+	}
+	r.families = append(r.families, f)
+	return nil
+}
+
+// Family finds a workload family by name.
+func (r *Registry) Family(name string) (Family, bool) {
+	for _, f := range r.Families() {
+		if f.Name == name {
+			return f, true
+		}
+	}
+	return Family{}, false
+}
+
+// Families returns every workload family in registration order.
+func (r *Registry) Families() []Family {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return slices.Clone(r.families)
 }

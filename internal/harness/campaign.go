@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"adcc/internal/bench"
 	"adcc/internal/campaign"
 	"adcc/internal/report"
 	"adcc/internal/resultstore"
@@ -13,14 +14,11 @@ import (
 // (internal/campaign) and renders the per-scheme survival table: for
 // every workload x scheme x platform cell, how many of the swept crash
 // points ended in clean recovery, detected recomputation, silent
-// corruption, or an unrecoverable state. With Options.Collector set,
-// every cell is also recorded as a bench result so benchdiff gates
-// recovery-rate regressions; with Options.CampaignJSON set, the full
-// deterministic report is written there inside the adcc-report/v1
-// envelope; with Options.Events set, every injection streams an
-// InjectionDone event in deterministic order.
+// corruption, or an unrecoverable state. With Options.Events set, every
+// injection streams an InjectionDone event in deterministic order; the
+// file and collector outputs are RunCampaignConfig's.
 func RunCampaign(ctx context.Context, o Options) (*Table, error) {
-	cfg := campaign.Config{
+	rep, err := RunCampaignConfig(ctx, campaign.Config{
 		Scale:       o.scale(),
 		Seed:        o.Seed,
 		Parallel:    o.Parallel,
@@ -32,11 +30,31 @@ func RunCampaign(ctx context.Context, o Options) (*Table, error) {
 		Events:      o.Events,
 		Verbose:     o.Verbose,
 		Out:         o.Out,
+	}, o.CampaignStore, o.CampaignJSON, o.Collector)
+	if err != nil {
+		return nil, err
 	}
+	return CampaignTable(rep), nil
+}
+
+// RunCampaignConfig runs cfg and fans the report out to the optional
+// outputs — the one path both the "campaign" experiment and pkg/adcc's
+// Runner.RunCampaign take. With storePath set, every injection's raw
+// outcome row goes to a columnar result store there; with jsonPath set,
+// the full deterministic report is written there inside the
+// adcc-report/v1 envelope; with col set, every cell is also recorded as
+// a bench result so benchdiff gates recovery-rate regressions.
+func RunCampaignConfig(ctx context.Context, cfg campaign.Config, storePath, jsonPath string, col *bench.Collector) (*campaign.Report, error) {
 	var fw *resultstore.FileWriter
-	if o.CampaignStore != "" {
+	if storePath != "" {
+		// The store footer carries the same normalized scale the report
+		// records, so the rebuilt envelope is byte-identical.
+		scale := cfg.Scale
+		if scale <= 0 {
+			scale = 1.0
+		}
 		var err error
-		if fw, err = resultstore.CreateFile(o.CampaignStore, cfg.Scale, cfg.Seed); err != nil {
+		if fw, err = resultstore.CreateFile(storePath, scale, cfg.Seed); err != nil {
 			return nil, err
 		}
 		cfg.Sink = fw
@@ -44,21 +62,21 @@ func RunCampaign(ctx context.Context, o Options) (*Table, error) {
 	rep, err := campaign.Run(ctx, cfg)
 	if fw != nil {
 		if cerr := fw.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("harness: write campaign store: %w", cerr)
+			err = fmt.Errorf("write campaign store: %w", cerr)
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
 	for _, r := range rep.BenchResults() {
-		o.Collector.Record(r)
+		col.Record(r)
 	}
-	if o.CampaignJSON != "" {
-		if err := report.WrapCampaign(rep).WriteFile(o.CampaignJSON); err != nil {
+	if jsonPath != "" {
+		if err := report.WrapCampaign(rep).WriteFile(jsonPath); err != nil {
 			return nil, err
 		}
 	}
-	return CampaignTable(rep), nil
+	return rep, nil
 }
 
 // CampaignTable renders a campaign report as the survival table shown

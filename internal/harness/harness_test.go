@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"adcc/internal/bench"
 )
 
 // smallOpts runs every experiment at CI scale.
@@ -183,44 +185,75 @@ func TestFig13SmallScale(t *testing.T) {
 	}
 }
 
+// TestStencilSmallScale runs the family driver over both extension
+// families (the name predates the kvlog half): seven cases plus the two
+// rejected variants each, normalized to native, with a verified crash
+// test recorded on the collector.
 func TestStencilSmallScale(t *testing.T) {
-	tab, err := RunStencil(context.Background(), smallOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 9 {
-		t.Fatalf("stencil rows = %d, want 7 cases + 2 rejected variants", len(tab.Rows))
-	}
-	get := func(label string) float64 {
-		for _, r := range tab.Rows {
-			if r[0] == label {
-				return parseCell(t, r[3])
+	for _, tc := range []struct {
+		name string
+		run  func(context.Context, Options) (*Table, error)
+		cols int
+		// algoCeil bounds the selective-flush overhead where the design
+		// is near-free (two lines a sweep); 0 leaves it unchecked.
+		algoCeil float64
+	}{
+		{"stencil", RunStencil, 4, 1.15},
+		{"kvlog", RunKVLog, 7, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := smallOpts
+			o.Collector = bench.NewCollector()
+			tab, err := tc.run(context.Background(), o)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		t.Fatalf("case %s missing", label)
-		return 0
-	}
-	if get(caseNative) != 1.0 {
-		t.Fatal("native must normalize to 1.0")
-	}
-	if get(casePMEM) < get(caseCkptNVM) {
-		t.Fatal("PMEM should exceed NVM checkpoint")
-	}
-	if v := get(caseAlgoNVM); v > 1.15 {
-		t.Fatalf("algo-selective overhead %.3f too large", v)
-	}
-	// Every-iteration flushing must cost more than selective flushing.
-	if get("algo-every-iter") <= get(caseAlgoNVM) {
-		t.Fatal("every-iteration flushing should exceed selective")
-	}
-	verified := false
-	for _, n := range tab.Notes {
-		if strings.Contains(n, "result verified") {
-			verified = true
-		}
-	}
-	if !verified {
-		t.Fatal("stencil crash test note missing")
+			if len(tab.Rows) != 9 {
+				t.Fatalf("%s rows = %d, want 7 cases + 2 rejected variants", tc.name, len(tab.Rows))
+			}
+			get := func(label string) float64 {
+				for _, r := range tab.Rows {
+					if r[0] == label {
+						if len(r) != tc.cols {
+							t.Fatalf("case %s has %d columns, want %d", label, len(r), tc.cols)
+						}
+						return parseCell(t, r[3])
+					}
+				}
+				t.Fatalf("case %s missing", label)
+				return 0
+			}
+			if get(caseNative) != 1.0 {
+				t.Fatal("native must normalize to 1.0")
+			}
+			if get(casePMEM) < get(caseCkptNVM) {
+				t.Fatal("PMEM should exceed NVM checkpoint")
+			}
+			if v := get(caseAlgoNVM); tc.algoCeil > 0 && v > tc.algoCeil {
+				t.Fatalf("algo-selective overhead %.3f too large", v)
+			}
+			// Every-iteration flushing must cost more than selective
+			// flushing.
+			if get("algo-every-iter") <= get(caseAlgoNVM) {
+				t.Fatal("every-iteration flushing should exceed selective")
+			}
+			if len(tab.Notes) == 0 || !strings.Contains(tab.Notes[0], "verified") {
+				t.Fatalf("crash test note does not report a verified recovery: %q", tab.Notes)
+			}
+			var rec *bench.Result
+			results := o.Collector.Results()
+			for i, r := range results {
+				if r.Name == tc.name+"/recovery" {
+					rec = &results[i]
+				}
+			}
+			if rec == nil || rec.RecoveryNS <= 0 || rec.SimNS < rec.RecoveryNS {
+				t.Fatalf("%s/recovery not recorded on the collector: %+v", tc.name, rec)
+			}
+			if len(results) != 10 {
+				t.Fatalf("collector holds %d results, want 9 cases + recovery", len(results))
+			}
+		})
 	}
 }
 

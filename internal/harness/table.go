@@ -163,9 +163,9 @@ type Options struct {
 	// fault/persistency models (campaign.Config.FaultModels); nil
 	// sweeps clean fail-stop only.
 	FaultModels []string
-	// Registry resolves scheme names for the campaign experiment; nil
-	// means the process-global registry. The figure experiments always
-	// run the paper's built-in seven cases.
+	// Registry holds the workload table and scheme names the campaign
+	// experiment sweeps; nil means the built-ins. The figure experiments
+	// always run the paper's built-in seven cases.
 	Registry *engine.Registry
 	// Events, when non-nil, receives the streaming progress events
 	// (case started/finished, injection outcomes) in deterministic

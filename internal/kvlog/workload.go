@@ -130,8 +130,12 @@ func (w *BaselineWorkload) Metrics() map[string]float64 {
 	}
 }
 
-// Interface conformance.
-var (
-	_ engine.Workload = (*StoreWorkload)(nil)
-	_ engine.Workload = (*BaselineWorkload)(nil)
-)
+// NewWorkload builds the family's implementation for sc: the
+// log-replay store under algorithm-directed schemes, the baseline under
+// the scheme's guard otherwise. want may be nil (see StoreWorkload.Want).
+func NewWorkload(opts Options, sc engine.Scheme, want map[int64]int64) engine.Workload {
+	if sc.Kind() == engine.KindAlgo {
+		return &StoreWorkload{Opts: opts, Want: want, Scheme: sc}
+	}
+	return &BaselineWorkload{Opts: opts, Want: want, Scheme: sc}
+}

@@ -9,12 +9,14 @@ import (
 )
 
 // FuzzDecodeReport throws malformed report documents at the unified
-// decoder: enveloped and bare-legacy payloads, truncated JSON,
-// duplicated fields, kind/payload mismatches, deep nesting. The decoder
+// decoder: enveloped payloads, bare pre-envelope payloads (which must be
+// rejected), truncated JSON, duplicated fields, kind/payload mismatches,
+// deep nesting. The decoder
 // must never panic, and anything it accepts must validate and survive a
 // canonical re-encode/decode round trip.
 func FuzzDecodeReport(f *testing.F) {
-	// Well-formed seeds: one envelope and one bare document per kind.
+	// One well-formed envelope per kind, and one bare document per kind
+	// as must-reject seeds.
 	benchEnv, err := WrapBench(bench.NewSuite(0.5, []bench.Result{
 		{Name: "cache/flush", SimNS: 100, SimFlushes: 3},
 	})).EncodeJSON()
@@ -52,6 +54,15 @@ func FuzzDecodeReport(f *testing.F) {
 		e, err := Decode(data)
 		if err != nil {
 			return // rejected input: fine, as long as it did not panic
+		}
+		// Only the envelope is a report: the bare-bench and bare-campaign
+		// corpus entries (and anything else tagged otherwise) must have
+		// been rejected above.
+		var tag struct {
+			Schema string `json:"schema"`
+		}
+		if json.Unmarshal(data, &tag) != nil || tag.Schema != SchemaVersion {
+			t.Fatalf("Decode accepted a document tagged %q\ninput: %q", tag.Schema, data)
 		}
 		if err := e.Validate(); err != nil {
 			t.Fatalf("Decode accepted an envelope that fails Validate: %v\ninput: %q", err, data)

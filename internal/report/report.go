@@ -6,9 +6,8 @@
 // The envelope adds exactly two fields (schema and kind) around the
 // existing payloads, whose encodings are unchanged: a wrapped campaign
 // report is byte-identical to the bare adcc-campaign/v1 document modulo
-// the envelope. Decode also accepts the bare legacy payloads by their
-// own schema tags, so pre-envelope files (for example a committed bench
-// baseline) keep working without migration.
+// the envelope. Bare payloads themselves are not reports: nothing emits
+// them un-enveloped, and Decode rejects them like any unknown schema.
 package report
 
 import (
@@ -97,10 +96,8 @@ func (e Envelope) WriteFile(path string) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// Decode parses any machine-readable report the repo has ever emitted:
-// an adcc-report/v1 envelope, a bare adcc-bench/v1 suite, or a bare
-// adcc-campaign/v1 report (legacy payloads are wrapped on the way in,
-// so callers always see an envelope).
+// Decode parses an adcc-report/v1 envelope, the one machine-readable
+// report shape the repo emits.
 func Decode(b []byte) (Envelope, error) {
 	var tag struct {
 		Schema string `json:"schema"`
@@ -108,35 +105,20 @@ func Decode(b []byte) (Envelope, error) {
 	if err := json.Unmarshal(b, &tag); err != nil {
 		return Envelope{}, fmt.Errorf("report: %w", err)
 	}
-	switch tag.Schema {
-	case SchemaVersion:
-		var e Envelope
-		if err := json.Unmarshal(b, &e); err != nil {
-			return Envelope{}, fmt.Errorf("report: %w", err)
-		}
-		if err := e.Validate(); err != nil {
-			return Envelope{}, err
-		}
-		return e, nil
-	case bench.SchemaVersion:
-		var s bench.Suite
-		if err := json.Unmarshal(b, &s); err != nil {
-			return Envelope{}, fmt.Errorf("report: %w", err)
-		}
-		return WrapBench(s), nil
-	case campaign.SchemaVersion:
-		var r campaign.Report
-		if err := json.Unmarshal(b, &r); err != nil {
-			return Envelope{}, fmt.Errorf("report: %w", err)
-		}
-		return WrapCampaign(&r), nil
-	default:
-		return Envelope{}, fmt.Errorf("report: unknown schema %q (want %q, %q, or %q)",
-			tag.Schema, SchemaVersion, bench.SchemaVersion, campaign.SchemaVersion)
+	if tag.Schema != SchemaVersion {
+		return Envelope{}, fmt.Errorf("report: unknown schema %q (want %q)", tag.Schema, SchemaVersion)
 	}
+	var e Envelope
+	if err := json.Unmarshal(b, &e); err != nil {
+		return Envelope{}, fmt.Errorf("report: %w", err)
+	}
+	if err := e.Validate(); err != nil {
+		return Envelope{}, err
+	}
+	return e, nil
 }
 
-// ReadFile reads and decodes a report file (enveloped or legacy).
+// ReadFile reads and decodes a report file.
 func ReadFile(path string) (Envelope, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {

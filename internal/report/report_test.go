@@ -66,35 +66,27 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeLegacyPayloads asserts the one-decoder contract: bare
-// adcc-bench/v1 and adcc-campaign/v1 documents decode as envelopes.
+// TestDecodeLegacyPayloads asserts the one-shape contract: bare
+// adcc-bench/v1 and adcc-campaign/v1 documents — pre-envelope payloads
+// nothing emits any more — are rejected as unknown schemas, like any
+// other tag.
 func TestDecodeLegacyPayloads(t *testing.T) {
 	rawBench, err := sampleSuite().EncodeJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Decode(rawBench)
-	if err != nil {
-		t.Fatalf("Decode(legacy bench): %v", err)
-	}
-	if e.Kind != KindBench || e.Bench == nil {
-		t.Fatalf("legacy bench decoded as %+v", e)
-	}
-
 	rawCamp, err := sampleCampaign().EncodeJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err = Decode(rawCamp)
-	if err != nil {
-		t.Fatalf("Decode(legacy campaign): %v", err)
-	}
-	if e.Kind != KindCampaign || e.Campaign == nil {
-		t.Fatalf("legacy campaign decoded as %+v", e)
-	}
-
-	if _, err := Decode([]byte(`{"schema":"bogus/v9"}`)); err == nil {
-		t.Fatal("Decode accepted an unknown schema")
+	for name, raw := range map[string][]byte{
+		"bare bench":     rawBench,
+		"bare campaign":  rawCamp,
+		"unknown schema": []byte(`{"schema":"bogus/v9"}`),
+	} {
+		if _, err := Decode(raw); err == nil || !strings.Contains(err.Error(), "unknown schema") {
+			t.Errorf("Decode(%s) = %v, want an unknown-schema error", name, err)
+		}
 	}
 	if _, err := Decode([]byte(`not json`)); err == nil {
 		t.Fatal("Decode accepted malformed JSON")

@@ -134,8 +134,13 @@ func (w *BaselineWorkload) Metrics() map[string]float64 {
 	}
 }
 
-// Interface conformance.
-var (
-	_ engine.Workload = (*HeatWorkload)(nil)
-	_ engine.Workload = (*BaselineWorkload)(nil)
-)
+// NewWorkload builds the family's implementation for sc: the extended
+// plane-history relaxation under algorithm-directed schemes, the
+// ping-pong baseline under the scheme's guard otherwise. want may be nil
+// (see HeatWorkload.Want).
+func NewWorkload(opts Options, sc engine.Scheme, want []float64) engine.Workload {
+	if sc.Kind() == engine.KindAlgo {
+		return &HeatWorkload{Opts: opts, Want: want, Scheme: sc}
+	}
+	return &BaselineWorkload{Opts: opts, Want: want, Scheme: sc}
+}

@@ -23,41 +23,71 @@ func (s customScheme) NewGuard(*adcc.Machine, int) adcc.Guard {
 	return adcc.NewNativeGuard()
 }
 
-// toyWorkload is a user-defined workload: a counting loop that touches
-// simulated memory, restarts from an iteration boundary, and verifies
-// its total.
+// toyWorkload is a user-defined workload: a running sum kept beside its
+// iteration counter in one persistent cache line, flushed every
+// iteration, so a crash loses at most the iteration in flight and
+// recovery resumes from the persistent pair.
 type toyWorkload struct {
 	iters int
 
-	m    *adcc.Machine
-	done int
+	m     *adcc.Machine
+	em    *adcc.Emulator
+	state toyState // [0] iterations done, [1] their sum
+	done  int
+}
+
+// toyState is the slice of the heap's int64 region the toy uses (the
+// concrete region type is not re-exported).
+type toyState interface {
+	At(i int) int64
+	Set(i int, v int64)
+	Addr(i int) adcc.Addr
+	Image() []int64
+	Live() []int64
 }
 
 func (w *toyWorkload) Name() string { return "toy" }
 
-func (w *toyWorkload) Prepare(m *adcc.Machine, _ *adcc.Emulator) error {
+func (w *toyWorkload) Prepare(m *adcc.Machine, em *adcc.Emulator) error {
 	if w.m != nil {
 		return errors.New("toy: Prepare called twice")
 	}
-	w.m = m
+	w.m, w.em = m, em
+	w.state = m.Heap.AllocI64("toy.state", 2)
 	return nil
 }
 
 func (w *toyWorkload) Start() int64 { return 0 }
 
 func (w *toyWorkload) Run(from int64) {
-	r := w.m.Heap.AllocF64(fmt.Sprintf("toy-%d", from), 8)
 	for i := from; i < int64(w.iters); i++ {
-		r.Set(int(i)%8, float64(i))
+		w.state.Set(1, w.state.At(1)+i)
+		w.state.Set(0, i+1)
+		w.m.Persist(w.state.Addr(0), 16)
 		w.done++
+		if w.em != nil {
+			w.em.Trigger("toy:iter_end")
+		}
 	}
 }
 
-func (w *toyWorkload) Recover() (int64, error) { return 0, nil }
+// Recover trusts only the persistent image: a recovery fork is a fresh
+// instance that never saw the crashed run.
+func (w *toyWorkload) Recover() (int64, error) {
+	from := w.state.Image()[0]
+	if from < 0 || from > int64(w.iters) {
+		return 0, fmt.Errorf("toy: persistent counter %d out of range", from)
+	}
+	w.done = int(from)
+	return from, nil
+}
 
 func (w *toyWorkload) Verify() error {
 	if w.done != w.iters {
 		return fmt.Errorf("toy: did %d of %d iterations", w.done, w.iters)
+	}
+	if n := int64(w.iters); n > 0 && w.state.Live()[1] != n*(n-1)/2 {
+		return fmt.Errorf("toy: sum %d, want %d", w.state.Live()[1], n*(n-1)/2)
 	}
 	return nil
 }
@@ -119,20 +149,36 @@ func TestCustomSchemeAndWorkloadThroughRunner(t *testing.T) {
 	}
 }
 
-// TestBuiltinWorkloadsRunAndVerify sweeps the four built-in workloads
-// at CI scale: every scheme must complete and verify.
+// TestBuiltinWorkloadsRunAndVerify sweeps every built-in workload at CI
+// scale: every scheme must complete and verify.
 func TestBuiltinWorkloadsRunAndVerify(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload sweep in -short mode")
 	}
 	runner := adcc.New(nil, adcc.WithScale(0.05), adcc.WithParallelism(4))
-	for _, workload := range []string{adcc.WorkloadCG, adcc.WorkloadMM, adcc.WorkloadMC, adcc.WorkloadStencil} {
+	names := runner.Registry().WorkloadNames()
+	if len(names) != 5 {
+		t.Fatalf("built-in workloads = %v, want five", names)
+	}
+	for _, workload := range names {
 		rep, err := runner.Run(context.Background(), workload)
 		if err != nil {
 			t.Fatalf("Run(%s): %v", workload, err)
 		}
-		if len(rep.Cases) < 7 {
-			t.Fatalf("Run(%s) swept %d cases, want >= 7", workload, len(rep.Cases))
+		// One scheme list per workload, read by Run and the campaign
+		// alike; without one, Run sweeps the seven cases and the campaign
+		// six schemes, each cell on both platforms.
+		spec, _ := runner.Registry().Workload(workload)
+		wantRun, wantGrid := len(spec.Schemes), 2*len(spec.Schemes)
+		if spec.Schemes == nil {
+			wantRun, wantGrid = 7, 12
+		}
+		if len(rep.Cases) != wantRun {
+			t.Fatalf("Run(%s) swept %d cases, want %d", workload, len(rep.Cases), wantRun)
+		}
+		cells, err := adcc.CampaignCells(nil, adcc.CampaignSpec{Workloads: []string{workload}})
+		if err != nil || len(cells) != wantGrid {
+			t.Fatalf("CampaignCells(%s) = %d cells, %v; want %d", workload, len(cells), err, wantGrid)
 		}
 		for _, c := range rep.Cases {
 			if c.Err != "" {

@@ -468,6 +468,9 @@ func TestHTTPErrors(t *testing.T) {
 	if code, msg := post(`{"workloads":["bogus"]}`); code != http.StatusBadRequest || msg == "" {
 		t.Errorf("unknown workload: %d %q", code, msg)
 	}
+	if code, msg := post(`{"workloads":["mc","bogus"]}`); code != http.StatusBadRequest || !strings.Contains(msg, `unknown workload "bogus"`) {
+		t.Errorf("unknown workload beside a valid one: %d %q", code, msg)
+	}
 	if code, msg := post(`{"wrkloads":["mm"]}`); code != http.StatusBadRequest || !strings.Contains(msg, "wrkloads") {
 		t.Errorf("unknown field: %d %q", code, msg)
 	}

@@ -1,8 +1,8 @@
 // Package adcc is the public library API of the adcc reproduction of
 // Yang et al., "Algorithm-Directed Crash Consistence in Non-Volatile
 // Memory for HPC" (IEEE CLUSTER 2017): a deterministic simulated NVM
-// platform, the paper's three study workloads with their recovery
-// protocols, the consistency-scheme engine, the experiment harness that
+// platform, the paper's three study workloads and two extension
+// families with their recovery protocols, the consistency-scheme engine, the experiment harness that
 // regenerates every figure, and the statistical crash-injection
 // campaign.
 //
@@ -11,9 +11,11 @@
 // examples are built exclusively on it. The entry points:
 //
 //   - Registry: an instance-scoped namespace of consistency Schemes and
-//     Workloads. NewRegistry seeds the paper's schemes and the three
-//     study workloads; RegisterScheme / RegisterWorkload add custom
-//     ones without init-order coupling.
+//     Workloads. NewRegistry seeds the paper's nine schemes and the
+//     five built-in workloads (cg, mm, mc, stencil, kvlog);
+//     RegisterScheme / RegisterWorkload add custom ones without
+//     init-order coupling, and a registered workload is swept by Run,
+//     RunCampaign, result stores, and adccd alike.
 //
 //   - Runner: configured with functional options (WithScale,
 //     WithParallelism, WithSeed, WithSchemes, WithCollector,
@@ -30,7 +32,7 @@
 //
 //   - Report: the adcc-report/v1 envelope wrapping every
 //     machine-readable artifact (benchmark suites, campaign reports);
-//     ReadReport decodes enveloped and legacy files alike.
+//     ReadReport decodes any of them.
 //
 // For single-crash-point studies the package also re-exports the
 // simulated platform (NewMachine, NewEmulator), the workload

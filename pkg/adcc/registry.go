@@ -3,13 +3,10 @@ package adcc
 import (
 	"fmt"
 	"sort"
-	"sync"
 
-	"adcc/internal/core"
 	"adcc/internal/engine"
+	"adcc/internal/families"
 	"adcc/internal/kvlog"
-	"adcc/internal/mc"
-	"adcc/internal/sparse"
 	"adcc/internal/stencil"
 )
 
@@ -65,8 +62,8 @@ const (
 	SchemeAlgoEvery  = engine.SchemeAlgoEvery
 )
 
-// Built-in workload names; NewRegistry seeds all four (the paper's
-// three studies plus the stencil extension family).
+// Built-in workload names; NewRegistry seeds all five (the paper's three
+// studies plus the stencil and served-traffic KV extension families).
 const (
 	WorkloadCG      = "cg"
 	WorkloadMM      = "mm"
@@ -78,13 +75,15 @@ const (
 // WorkloadSpec describes a runnable workload: a name and a factory
 // building a fresh Workload instance for one run under a scheme at a
 // problem scale (1.0 = paper shape). Specs are registered on a
-// Registry and swept by Runner.Run.
+// Registry and swept by Runner.Run and Runner.RunCampaign alike.
 type WorkloadSpec struct {
 	// Name identifies the workload in the registry and in reports.
 	Name string
-	// Schemes optionally names the schemes Runner.Run sweeps by
-	// default for this workload; nil means the paper's seven-case
-	// comparison.
+	// Schemes names the schemes the workload is swept under, as written,
+	// by both Runner.Run and campaigns. Nil means the workload has no
+	// scheme-selected variants: Run sweeps the paper's seven-case
+	// comparison, and a campaign — where the platform is its own axis —
+	// sweeps the five conventional schemes plus algo-NVM-only.
 	Schemes []string
 	// New builds a fresh instance for one run under sc. It must return
 	// an unprepared workload: the runner binds it to a machine through
@@ -98,31 +97,19 @@ type WorkloadSpec struct {
 // without init-order coupling or process-global state. All methods are
 // safe for concurrent use.
 type Registry struct {
-	schemes *engine.Registry
-
-	mu        sync.RWMutex
-	workloads map[string]WorkloadSpec
+	eng *engine.Registry // schemes and the workload table
 }
 
 // NewRegistry returns a registry seeded with the paper's nine built-in
-// schemes and three study workloads.
+// schemes and the five built-in workloads.
 func NewRegistry() *Registry {
-	r := &Registry{
-		schemes:   engine.NewBuiltinRegistry(),
-		workloads: map[string]WorkloadSpec{},
-	}
-	for _, spec := range builtinWorkloads() {
-		if err := r.RegisterWorkload(spec); err != nil {
-			panic("adcc: " + err.Error())
-		}
-	}
-	return r
+	return &Registry{eng: families.NewRegistry()}
 }
 
 // RegisterScheme adds a custom scheme. Registering a nil or unnamed
 // scheme, or a name already present, returns an error.
 func (r *Registry) RegisterScheme(s Scheme) error {
-	if err := r.schemes.Register(s); err != nil {
+	if err := r.eng.Register(s); err != nil {
 		return fmt.Errorf("adcc: %w", err)
 	}
 	return nil
@@ -130,153 +117,60 @@ func (r *Registry) RegisterScheme(s Scheme) error {
 
 // Scheme finds a scheme by name.
 func (r *Registry) Scheme(name string) (Scheme, bool) {
-	return r.schemes.Lookup(name)
+	return r.eng.Lookup(name)
 }
 
 // MustScheme finds a scheme by name, panicking on unknown names. Use
 // for the built-in names, which NewRegistry seeds unconditionally.
 func (r *Registry) MustScheme(name string) Scheme {
-	return r.schemes.MustLookup(name)
+	return r.eng.MustLookup(name)
 }
 
 // SchemeNames returns every registered scheme name, sorted.
-func (r *Registry) SchemeNames() []string { return r.schemes.Names() }
+func (r *Registry) SchemeNames() []string { return r.eng.Names() }
 
 // SevenCases returns the paper's seven-case comparison in presentation
 // order (§III-A).
-func (r *Registry) SevenCases() []Scheme { return r.schemes.SevenCases() }
+func (r *Registry) SevenCases() []Scheme { return r.eng.SevenCases() }
 
-// RegisterWorkload adds a workload spec. An empty name, a nil factory,
-// or a name already present returns an error.
+// RegisterWorkload appends a workload spec to the registry's workload
+// table: Runner.Run sweeps it by name, and campaigns (RunCampaign, result
+// stores, adccd) sweep its cells after those of the entries before it.
+// An empty name, a nil factory, or a name already present is an error.
 func (r *Registry) RegisterWorkload(spec WorkloadSpec) error {
-	if spec.Name == "" || spec.New == nil {
-		return fmt.Errorf("adcc: RegisterWorkload of incomplete spec (need Name and New)")
+	f := engine.Family{Name: spec.Name, Schemes: spec.Schemes}
+	if spec.New != nil {
+		f.New = func(sc Scheme, scale float64, _ any) (Workload, error) { return spec.New(sc, scale) }
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.workloads[spec.Name]; dup {
-		return fmt.Errorf("adcc: duplicate workload %q", spec.Name)
+	if err := r.eng.RegisterFamily(f); err != nil {
+		return fmt.Errorf("adcc: %w", err)
 	}
-	r.workloads[spec.Name] = spec
 	return nil
 }
 
-// Workload finds a workload spec by name.
+// Workload finds a workload by name, as a spec: a view of its table
+// entry whose New builds the entry's shared inputs for the one instance.
 func (r *Registry) Workload(name string) (WorkloadSpec, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	spec, ok := r.workloads[name]
-	return spec, ok
+	f, ok := r.eng.Family(name)
+	if !ok {
+		return WorkloadSpec{}, false
+	}
+	return WorkloadSpec{
+		Name:    f.Name,
+		Schemes: f.Schemes,
+		New: func(sc Scheme, scale float64) (Workload, error) {
+			return f.New(sc, scale, f.SharedAt(scale))
+		},
+	}, true
 }
 
 // WorkloadNames returns every registered workload name, sorted.
 func (r *Registry) WorkloadNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.workloads))
-	for n := range r.workloads {
-		out = append(out, n)
+	fams := r.eng.Families()
+	out := make([]string, len(fams))
+	for i, f := range fams {
+		out[i] = f.Name
 	}
 	sort.Strings(out)
 	return out
-}
-
-// engineRegistry exposes the scheme namespace to the campaign engine.
-func (r *Registry) engineRegistry() *engine.Registry { return r.schemes }
-
-// scaleInt scales v down with a floor, the shared sizing rule of the
-// built-in workload factories (matching the campaign's shapes).
-func scaleInt(v int, scale float64, floor int) int {
-	s := int(float64(v) * scale)
-	if s < floor {
-		return floor
-	}
-	return s
-}
-
-// builtinWorkloads builds the specs of the paper's three studies. Sizes
-// scale with the runner's problem scale and seeds are fixed, mirroring
-// the campaign's per-cell workload shapes: algorithm-directed schemes
-// run the extended implementations, conventional schemes the baselines
-// driven through the scheme's Guard.
-func builtinWorkloads() []WorkloadSpec {
-	return []WorkloadSpec{
-		{
-			Name: WorkloadCG,
-			New: func(sc Scheme, scale float64) (Workload, error) {
-				a := sparse.GenSPD(scaleInt(1200, scale, 300), 9, 11)
-				opts := core.CGOptions{MaxIter: 15, Seed: 11}
-				if sc.Kind() == engine.KindAlgo {
-					return &core.CGWorkload{A: a, Opts: opts}, nil
-				}
-				return &core.BaselineCGWorkload{A: a, Opts: opts, Scheme: sc}, nil
-			},
-		},
-		{
-			Name: WorkloadMM,
-			New: func(sc Scheme, scale float64) (Workload, error) {
-				const k = 16
-				opts := core.MMOptions{N: k * scaleInt(8, scale, 3), K: k, Seed: 12}
-				if sc.Kind() == engine.KindAlgo {
-					return &core.MMWorkload{Opts: opts}, nil
-				}
-				return &core.BaselineMMWorkload{Opts: opts, Scheme: sc}, nil
-			},
-		},
-		{
-			Name: WorkloadMC,
-			// MC selects its mechanism entirely through the scheme, so
-			// it additionally sweeps the rejected §III-D variants.
-			Schemes: []string{
-				SchemeNative, SchemeCkptHDD, SchemeCkptNVM, SchemeCkptHetero,
-				SchemePMEM, SchemeAlgoNVM, SchemeAlgoHetero,
-				SchemeAlgoNaive, SchemeAlgoEvery,
-			},
-			New: func(sc Scheme, scale float64) (Workload, error) {
-				return &core.MCWorkload{
-					Cfg: mc.Config{
-						Nuclides:         16,
-						PointsPerNuclide: 128,
-						Lookups:          scaleInt(20_000, scale, 2500),
-						Seed:             42,
-					},
-					Scheme: sc,
-				}, nil
-			},
-		},
-		{
-			Name: WorkloadStencil,
-			// The stencil's flush policy also comes from the scheme, so
-			// it sweeps the rejected algorithm-directed variants too.
-			Schemes: []string{
-				SchemeNative, SchemeCkptHDD, SchemeCkptNVM, SchemeCkptHetero,
-				SchemePMEM, SchemeAlgoNVM, SchemeAlgoHetero,
-				SchemeAlgoNaive, SchemeAlgoEvery,
-			},
-			New: func(sc Scheme, scale float64) (Workload, error) {
-				opts := stencil.Options{N: scaleInt(96, scale, 32), MaxIter: 12, Seed: 21}
-				if sc.Kind() == engine.KindAlgo {
-					return &stencil.HeatWorkload{Opts: opts, Scheme: sc}, nil
-				}
-				return &stencil.BaselineWorkload{Opts: opts, Scheme: sc}, nil
-			},
-		},
-		{
-			Name: WorkloadKVLog,
-			// The KV store's flush policy also comes from the scheme, so
-			// it sweeps the rejected algorithm-directed variants too.
-			Schemes: []string{
-				SchemeNative, SchemeCkptHDD, SchemeCkptNVM, SchemeCkptHetero,
-				SchemePMEM, SchemeAlgoNVM, SchemeAlgoHetero,
-				SchemeAlgoNaive, SchemeAlgoEvery,
-			},
-			New: func(sc Scheme, scale float64) (Workload, error) {
-				opts := kvlog.Options{Requests: scaleInt(600, scale, 120), KeySpace: 128, ScanLen: 8, CkptEvery: 16, Seed: 33}
-				if sc.Kind() == engine.KindAlgo {
-					return &kvlog.StoreWorkload{Opts: opts, Scheme: sc}, nil
-				}
-				return &kvlog.BaselineWorkload{Opts: opts, Scheme: sc}, nil
-			},
-		},
-	}
 }

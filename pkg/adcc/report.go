@@ -9,7 +9,7 @@ import (
 // Report is the adcc-report/v1 envelope: one versioned JSON shape
 // wrapping every machine-readable artifact the system emits — bench
 // suites and campaign reports — so a single decoder (ReadReport /
-// DecodeReport) handles any file, including bare legacy payloads.
+// DecodeReport) handles any file.
 type Report = report.Envelope
 
 // ReportSchemaVersion identifies the envelope layout.
@@ -29,12 +29,12 @@ func NewBenchReport(s Suite) Report { return report.WrapBench(s) }
 // NewCampaignReport envelopes a campaign report.
 func NewCampaignReport(r *CampaignReport) Report { return report.WrapCampaign(r) }
 
-// ReadReport reads and decodes a report file: an adcc-report/v1
-// envelope, a bare adcc-bench/v1 suite, or a bare adcc-campaign/v1
-// report (legacy payloads are wrapped on the way in).
+// ReadReport reads and decodes a report file. Anything but an
+// adcc-report/v1 envelope — a bare pre-envelope payload included — is
+// an unknown-schema error.
 func ReadReport(path string) (Report, error) { return report.ReadFile(path) }
 
-// DecodeReport decodes report bytes (enveloped or legacy).
+// DecodeReport decodes report bytes; see ReadReport.
 func DecodeReport(b []byte) (Report, error) { return report.Decode(b) }
 
 // CampaignReport is a full crash-injection campaign run: the sweep

@@ -9,8 +9,6 @@ import (
 	"adcc/internal/crash"
 	"adcc/internal/engine"
 	"adcc/internal/harness"
-	"adcc/internal/report"
-	"adcc/internal/resultstore"
 )
 
 // Table is a rendered experiment result (aligned text via Fprint /
@@ -72,9 +70,10 @@ func WithSchemes(names ...string) Option {
 }
 
 // WithWorkloads restricts campaign runs (RunCampaign and the
-// "campaign" experiment) to the named built-in workloads ("cg", "mm",
-// "mc"); nil means all three. The figure experiments each study one
-// fixed workload and ignore it.
+// "campaign" experiment) to the named workloads of the runner's
+// registry; nil means every registered workload, built-ins first. An
+// unknown name is an error. The figure experiments each study one fixed
+// workload and ignore it.
 func WithWorkloads(names ...string) Option {
 	return func(r *Runner) { r.workloads = names }
 }
@@ -234,11 +233,12 @@ func (r *RunReport) Failed() []CaseResult {
 	return out
 }
 
-// runSchemes resolves the scheme list a sweep of spec covers.
-func (r *Runner) runSchemes(spec WorkloadSpec) ([]Scheme, error) {
+// runSchemes resolves the scheme list a sweep covers: WithSchemes, else
+// the workload's own list, else the seven cases.
+func (r *Runner) runSchemes(own []string) ([]Scheme, error) {
 	names := r.schemes
 	if len(names) == 0 {
-		names = spec.Schemes
+		names = own
 	}
 	if len(names) == 0 {
 		return r.reg.SevenCases(), nil
@@ -261,14 +261,15 @@ func (r *Runner) runSchemes(spec WorkloadSpec) ([]Scheme, error) {
 // Custom workloads and custom schemes registered on the runner's
 // Registry sweep exactly like the built-ins.
 func (r *Runner) Run(ctx context.Context, workload string) (*RunReport, error) {
-	spec, ok := r.reg.Workload(workload)
+	fam, ok := r.reg.eng.Family(workload)
 	if !ok {
 		return nil, fmt.Errorf("adcc: unknown workload %q", workload)
 	}
-	schemes, err := r.runSchemes(spec)
+	schemes, err := r.runSchemes(fam.Schemes)
 	if err != nil {
 		return nil, err
 	}
+	shared := fam.SharedAt(r.scale) // built once, read by every case
 	rep := &RunReport{Workload: workload, Scale: r.scale}
 	// Case failures land in CaseResult.Err (the sweep itself keeps
 	// going), so the event stream is built here rather than through
@@ -291,7 +292,7 @@ func (r *Runner) Run(ctx context.Context, workload string) (*RunReport, error) {
 			sc := schemes[i]
 			r.logf("run/%s: case %s", workload, sc.Name())
 			res := CaseResult{Scheme: sc.Name(), System: sc.System().String()}
-			w, err := spec.New(sc, r.scale)
+			w, err := fam.New(sc, r.scale, shared)
 			if err != nil {
 				res.Err = err.Error()
 				return res, nil
@@ -337,7 +338,7 @@ func (r *Runner) RunExperiment(ctx context.Context, name string) (*Table, error)
 		Schemes:       r.schemes,
 		PerCell:       r.perCell,
 		FaultModels:   r.faultModels,
-		Registry:      r.reg.engineRegistry(),
+		Registry:      r.reg.eng,
 		Verbose:       r.verbose,
 		Out:           r.out,
 		Collector:     r.collector,
@@ -353,7 +354,7 @@ func (r *Runner) RunExperiment(ctx context.Context, name string) (*Table, error)
 // with WithCampaignJSON, the enveloped report is written to disk; with
 // WithEventSink, every injection streams an InjectionDone event.
 func (r *Runner) RunCampaign(ctx context.Context) (*CampaignReport, error) {
-	cfg := campaign.Config{
+	return harness.RunCampaignConfig(ctx, campaign.Config{
 		Scale:       r.scale,
 		Seed:        r.seed,
 		Parallel:    r.parallel,
@@ -361,45 +362,13 @@ func (r *Runner) RunCampaign(ctx context.Context) (*CampaignReport, error) {
 		Workloads:   r.workloads,
 		Schemes:     r.schemes,
 		FaultModels: r.faultModels,
-		Registry:    r.reg.engineRegistry(),
+		Registry:    r.reg.eng,
 		Events:      r.sink,
 		Completed:   r.completed,
 		OnCell:      r.onCell,
 		Verbose:     r.verbose,
 		Out:         r.out,
-	}
-	var fw *resultstore.FileWriter
-	if r.campaignStore != "" {
-		// The store footer carries the same normalized scale the report
-		// records, so the rebuilt envelope is byte-identical.
-		scale := cfg.Scale
-		if scale <= 0 {
-			scale = 1.0
-		}
-		var err error
-		if fw, err = resultstore.CreateFile(r.campaignStore, scale, cfg.Seed); err != nil {
-			return nil, err
-		}
-		cfg.Sink = fw
-	}
-	rep, err := campaign.Run(ctx, cfg)
-	if fw != nil {
-		if cerr := fw.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("adcc: write campaign store: %w", cerr)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	for _, res := range rep.BenchResults() {
-		r.collector.Record(res)
-	}
-	if r.campaignJSON != "" {
-		if err := report.WrapCampaign(rep).WriteFile(r.campaignJSON); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
+	}, r.campaignStore, r.campaignJSON, r.collector)
 }
 
 // CampaignTable renders a campaign report as the per-scheme survival

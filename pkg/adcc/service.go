@@ -21,12 +21,14 @@ type CampaignSpec struct {
 	Scale float64 `json:"scale,omitempty"`
 	// Seed drives crash-point selection (0 is a valid seed).
 	Seed int64 `json:"seed,omitempty"`
-	// Workloads restricts the sweep grid; nil means every built-in
-	// workload.
+	// Workloads restricts the sweep grid; nil means every workload of
+	// the registry the campaign runs against. An unknown name is an
+	// error, also beside valid ones.
 	Workloads []string `json:"workloads,omitempty"`
-	// Schemes restricts the sweep grid; nil means every scheme each
-	// workload supports. Names outside the built-in grids are resolved
-	// in the registry and added to every selected workload.
+	// Schemes restricts the sweep grid; nil means each workload's own
+	// scheme list (WorkloadSpec.Schemes). Names outside a workload's
+	// list are resolved in the registry and added to every selected
+	// workload.
 	Schemes []string `json:"schemes,omitempty"`
 	// InjectionsPerCell overrides the number of crash points per cell
 	// (0 = scaled default).
@@ -147,7 +149,7 @@ func CampaignCells(reg *Registry, s CampaignSpec) ([]string, error) {
 		Workloads:   c.Workloads,
 		Schemes:     c.Schemes,
 		FaultModels: c.FaultModels,
-		Registry:    reg.engineRegistry(),
+		Registry:    reg.eng,
 	}.CellKeys()
 	if err != nil {
 		return nil, fmt.Errorf("adcc: %w", err)

@@ -2,6 +2,7 @@ package adcc_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"adcc/pkg/adcc"
@@ -58,6 +59,10 @@ func TestCampaignCells(t *testing.T) {
 	}
 	if _, err := adcc.CampaignCells(nil, adcc.CampaignSpec{Workloads: []string{"bogus"}}); err == nil {
 		t.Error("CampaignCells accepted an unknown workload")
+	}
+	_, err = adcc.CampaignCells(nil, adcc.CampaignSpec{Workloads: []string{"mc", "bogus"}})
+	if err == nil || !strings.Contains(err.Error(), `unknown workload "bogus"`) {
+		t.Errorf("CampaignCells with a mixed valid+unknown workload list: %v", err)
 	}
 }
 
