@@ -150,37 +150,32 @@ type Cache struct {
 	pow2Sets  bool
 	setMask   uint64
 
-	// wayOf is the line directory: a flat slice keyed by line number
-	// whose entries name the way the line was last filled into (stored
-	// as wayIndex+1; 0 = never filled). It replaces the per-access
-	// associative set scan of the hit, flush, and CLWB paths with an
-	// O(1) lookup. Entries are never cleared: a line is resident iff
-	// its last fill target still holds its tag valid, so the lookup's
-	// tag check is the single source of truth and eviction, flush, and
-	// DiscardAll need no directory bookkeeping. Lines at or past
-	// dirMaxLines are never recorded (see lookupWay's scan fallback):
-	// growing the dense slice toward a wild line number would allocate
-	// memory proportional to the address.
+	// wayOf is the line directory: a flat slice keyed by line number that
+	// is the single source of truth for the residency of every line below
+	// dirMaxLines. An entry is 0 when the line is not resident; otherwise
+	// its low 31 bits hold wayIndex+1 and its top bit (dirDirty) mirrors
+	// the way's dirty bit. It is maintained eagerly — every fill, victim
+	// replacement, writeback, CLWB, CLFLUSH and discard updates the entry
+	// in the same step as the way — so a hit trusts the entry without
+	// reading the way back: one host load per simulated line, where
+	// re-validating a lazy entry against the way's tag cost a second,
+	// dependent host cache miss into the much larger ways array. Lines in
+	// [len(wayOf), dirMaxLines) are not resident by construction (a fill
+	// grows the slice); lines at or past dirMaxLines are never recorded
+	// and are found by scanning their set (see scanSet): growing the dense
+	// slice toward a wild line number would allocate memory proportional
+	// to the address.
 	wayOf []uint32
 
 	// Occupancy index: one bit per way, set when the way turns dirty
 	// (dirtyBits) or valid (fillBits), so enumerating the dirty lines
 	// and discarding the cache visit the marked ways instead of every
-	// way. Like wayOf the bitmaps are lazy — nothing clears a bit when a
-	// way is cleaned, evicted or invalidated; whoever walks a bitmap
-	// checks each marked way's own bits, which are the source of truth,
-	// and unmarks the stale ones. A set bit therefore means "may be",
-	// a clear bit "is not".
+	// way. Unlike the directory the bitmaps are lazy — nothing clears a
+	// bit when a way is cleaned, evicted or invalidated; whoever walks a
+	// bitmap checks each marked way's own bits and unmarks the stale
+	// ones. A set bit therefore means "may be", a clear bit "is not".
 	dirtyBits []uint64
 	fillBits  []uint64
-
-	// MRU memo: the way that served the most recent hit or fill.
-	// Element accesses touch the same 64-byte line several times in a
-	// row (and selective flushes target the just-written line), so this
-	// skips even the directory load for the common case. Validity is
-	// re-checked against the way's tag on every use.
-	lastLn  uint64
-	lastWay *way
 
 	// Line-sized costs precomputed from a ConstantCostModel; valid only
 	// when constCost is set (address-independent memory system).
@@ -309,46 +304,58 @@ func (c *Cache) set(ln uint64) []way {
 
 // dirMaxLines bounds the dense line directory: 1<<26 lines cover 4 GiB
 // of simulated address space, far beyond any workload's heap (regions
-// are allocated compactly from zero). Accesses past the bound still
-// simulate correctly through lookupWay's associative scan — they occur
-// only when recovery code chases an address read from a fault-corrupted
-// image, and the bound keeps such a wild address from inflating the
-// directory allocation to the size of the address.
+// are allocated compactly from zero). Below the bound the directory is
+// authoritative; accesses at or past it still simulate correctly through
+// scanSet's associative scan — they occur only when recovery code chases
+// an address read from a fault-corrupted image, and the bound keeps such
+// a wild address from inflating the directory allocation to the size of
+// the address.
 const dirMaxLines = 1 << 26
 
+// Directory entry layout: wayIndex+1 in the low 31 bits, the resident
+// line's dirty bit on top.
+const (
+	dirDirty = 1 << 31
+	dirWay   = dirDirty - 1
+)
+
 // lookupWay returns the way holding line ln, or nil when the line is
-// not resident. The MRU memo is consulted first, then the line
-// directory; in both cases the way's own valid bit and tag are the
-// source of truth, so stale entries can never alias another line (a
-// resident line is always in the way it was last filled into). Lines
-// past the directory bound fall back to scanning their set.
+// not resident. Below dirMaxLines the directory entry alone decides;
+// wild lines scan their set.
 func (c *Cache) lookupWay(ln uint64) *way {
-	if w := c.lastWay; w != nil && c.lastLn == ln && w.valid && w.tag == ln {
-		return w
-	}
+	var e uint32
 	if ln < uint64(len(c.wayOf)) {
-		if e := c.wayOf[ln]; e != 0 {
-			w := &c.ways[e-1]
-			if w.valid && w.tag == ln {
-				c.lastLn, c.lastWay = ln, w
-				return w
-			}
-		}
+		e = c.wayOf[ln]
 	} else if ln >= dirMaxLines {
-		set := c.set(ln)
-		for i := range set {
-			if w := &set[i]; w.valid && w.tag == ln {
-				c.lastLn, c.lastWay = ln, w
-				return w
-			}
-		}
+		e = c.scanSet(ln)
 	}
-	return nil
+	if e == 0 {
+		return nil
+	}
+	return &c.ways[e&dirWay-1]
 }
 
-// setDir records that line ln was filled into way index wi. Lines past
-// the directory bound are not recorded; lookupWay scans for them.
-func (c *Cache) setDir(ln uint64, wi uint64) {
+// scanSet is the lookup of the wild lines the directory does not record:
+// it scans ln's set and returns the entry the line would have, 0 when it
+// is not resident.
+func (c *Cache) scanSet(ln uint64) uint32 {
+	base := c.setBase(ln)
+	for i := base; i < base+uint64(c.cfg.Assoc); i++ {
+		if w := &c.ways[i]; w.valid && w.tag == ln {
+			e := uint32(i) + 1
+			if w.dirty {
+				e |= dirDirty
+			}
+			return e
+		}
+	}
+	return 0
+}
+
+// setDir records that line ln now lives in way index wi, dirty or
+// clean. Lines past the directory bound are not recorded. Growing may
+// reallocate wayOf.
+func (c *Cache) setDir(ln uint64, wi uint64, dirty bool) {
 	if ln >= dirMaxLines {
 		return
 	}
@@ -361,27 +368,39 @@ func (c *Cache) setDir(ln uint64, wi uint64) {
 		copy(g, c.wayOf)
 		c.wayOf = g
 	}
-	c.wayOf[ln] = uint32(wi) + 1
+	e := uint32(wi) + 1
+	if dirty {
+		e |= dirDirty
+	}
+	c.wayOf[ln] = e
 }
 
-// dirtyHit is the hit path's clean-to-dirty transition of resident line
-// ln in way w. It is kept out of line so the hit path carries only the
-// test: the way's index comes from the directory entry, or a set scan
-// for lines past the directory bound.
+// dirtyHit is the hit path's clean-to-dirty transition of the line in
+// way wi. It is kept out of line so the hit path carries only the test.
 //
 //go:noinline
-func (c *Cache) dirtyHit(w *way, ln uint64) {
+func (c *Cache) dirtyHit(wi uint64) {
+	w := &c.ways[wi]
 	w.dirty = true
-	if ln < dirMaxLines {
-		mark(c.dirtyBits, uint64(c.wayOf[ln])-1)
-		return
+	if w.tag < dirMaxLines {
+		c.wayOf[w.tag] |= dirDirty
 	}
-	base := c.setBase(ln)
-	for i := uint64(0); i < uint64(c.cfg.Assoc); i++ {
-		if &c.ways[base+i] == w {
-			mark(c.dirtyBits, base+i)
-			return
-		}
+	mark(c.dirtyBits, wi)
+}
+
+// cleanDir clears the directory's dirty bit of resident line ln, in the
+// same step as the caller clears the way's.
+func (c *Cache) cleanDir(ln uint64) {
+	if ln < dirMaxLines {
+		c.wayOf[ln] &^= dirDirty
+	}
+}
+
+// dropDir clears the directory entry of line ln, in the same step as
+// the caller invalidates or refills the line's way.
+func (c *Cache) dropDir(ln uint64) {
+	if ln < dirMaxLines {
+		c.wayOf[ln] = 0
 	}
 }
 
@@ -422,20 +441,34 @@ func (c *Cache) access(a mem.Addr, size int, store bool) {
 	}
 	first := c.lineNumber(a)
 	last := c.lineNumber(a + mem.Addr(size) - 1)
+	// Hits are counted here and billed once after the loop: the clock
+	// is additive and nothing reads it between two lines of one access.
+	var hits int64
+	dir := c.wayOf
 	for ln := first; ln <= last; ln++ {
 		c.tick++
-		// Hit path, inlined: O(1) via the MRU memo / line directory.
-		if w := c.lookupWay(ln); w != nil {
-			w.use = c.tick
-			if store && !w.dirty {
-				c.dirtyHit(w, ln)
-			}
-			c.stats.LineHits++
-			c.clock.Advance(c.cfg.HitNS)
+		var e uint32
+		if ln < uint64(len(dir)) {
+			e = dir[ln]
+		} else if ln >= dirMaxLines {
+			e = c.scanSet(ln)
+		}
+		if e == 0 {
+			c.missLine(ln, store)
+			dir = c.wayOf // the fill may have regrown the directory
 			continue
 		}
-		c.missLine(ln, store)
+		// Hit: the entry is the residency truth, so a load hit never
+		// reads the way.
+		wi := uint64(e&dirWay) - 1
+		c.ways[wi].use = c.tick
+		if store && e&dirDirty == 0 {
+			c.dirtyHit(wi)
+		}
+		hits++
 	}
+	c.stats.LineHits += hits
+	c.clock.Advance(hits * c.cfg.HitNS)
 }
 
 // missLine performs the miss/evict/fill protocol for one line (the
@@ -457,8 +490,11 @@ func (c *Cache) missLine(ln uint64, store bool) {
 			victim, vi = w, uint64(i)
 		}
 	}
-	if victim.valid && victim.dirty {
-		c.evict(victim)
+	if victim.valid {
+		if victim.dirty {
+			c.evict(victim)
+		}
+		c.dropDir(victim.tag)
 	}
 
 	// Fill. Write-allocate on stores, as on real x86 write-back caches.
@@ -477,8 +513,7 @@ func (c *Cache) missLine(ln uint64, store bool) {
 	victim.valid = true
 	victim.dirty = store
 	victim.use = c.tick
-	c.setDir(ln, base+vi)
-	c.lastLn, c.lastWay = ln, victim
+	c.setDir(ln, base+vi, store)
 }
 
 // streamHit reports whether line ln extends a tracked stream, updating
@@ -515,6 +550,7 @@ func (c *Cache) evict(w *way) {
 	}
 	c.lastWbLine = w.tag
 	w.dirty = false
+	c.cleanDir(w.tag)
 }
 
 // Flush emulates CLFLUSH over the byte range [a, a+size): every covered
@@ -572,6 +608,7 @@ func (c *Cache) flushResident(w *way, ln uint64) {
 	}
 	w.valid = false
 	w.dirty = false
+	c.dropDir(ln)
 }
 
 // FlushOpt emulates CLWB (cache-line write-back) over [a, a+size):
@@ -617,6 +654,7 @@ func (c *Cache) flushOptResident(w *way, ln uint64) {
 			c.clock.Advance(c.writeCost(addr))
 		}
 		w.dirty = false
+		c.cleanDir(ln)
 	} else {
 		c.clock.Advance(c.cfg.HitNS)
 	}
@@ -635,22 +673,27 @@ func (c *Cache) WritebackAll() {
 // with volatile caches.
 func (c *Cache) DiscardAll() {
 	// A way fillBits does not mark has been invalid since the last
-	// discard.
+	// discard. The directory entries of the marked ways' lines go with
+	// them, so the cost follows what was filled, not the directory's
+	// size; a marked way a flush already invalidated holds a stale tag,
+	// whose entry was dropped then and may name another way by now.
 	for i, word := range c.fillBits {
 		for ; word != 0; word &= word - 1 {
-			c.ways[i<<6|bits.TrailingZeros64(word)] = way{}
+			w := &c.ways[i<<6|bits.TrailingZeros64(word)]
+			if w.valid {
+				c.dropDir(w.tag)
+			}
+			*w = way{}
 		}
 	}
 	clear(c.fillBits)
 	clear(c.dirtyBits)
-	// Directory entries need no clearing: every lookup re-validates
-	// against the (now invalid) ways.
 }
 
 // ResetVolatile clears the microarchitectural state that does not
 // survive a machine crash and power cycle but is not part of the line
-// directory proper: the LRU tick, the prefetcher's trained streams, the
-// write-combining memo, and the MRU memo. Event counters are kept —
+// directory proper: the LRU tick, the prefetcher's trained streams and
+// the write-combining memo. Event counters are kept —
 // they count what the simulation observed, not machine state. It is
 // called by the crash protocol alongside DiscardAll, modeling that the
 // restarted machine's prefetcher and replacement state are cold.
@@ -661,7 +704,6 @@ func (c *Cache) ResetVolatile() {
 	}
 	c.nextStream = 0
 	c.lastWbLine = 0
-	c.lastLn, c.lastWay = 0, nil
 }
 
 // Contains reports whether the line holding address a is resident, and

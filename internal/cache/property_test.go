@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,11 +13,12 @@ import (
 
 // refCache is a naive reference implementation of the simulator's
 // visible semantics: plain associative set scans, no line directory, no
-// MRU memo, no address-arithmetic fast paths. The property test drives
-// it in lockstep with the real Cache on randomized access streams to
-// guard the O(1) wayOf/MRU hit paths: any divergence in hit, miss,
-// writeback, or flush accounting — or in which lines end up resident
-// and dirty — is a bug in one of the fast paths.
+// occupancy index, no address-arithmetic fast paths. The property test
+// and FuzzCacheOps drive it in lockstep with the real Cache to guard the
+// hit path that trusts the directory without reading the way: any
+// divergence in hit, miss, writeback, or flush accounting — or in which
+// lines end up resident and dirty — means some transition left the
+// directory behind the ways.
 type refCache struct {
 	lineBytes int
 	nsets     int
@@ -143,10 +145,121 @@ func (r *refCache) discardAll() {
 	}
 }
 
+// lockstep drives the simulator and the reference model with the same
+// operations.
+type lockstep struct {
+	c   *Cache
+	ref *refCache
+}
+
+func newLockstep(cfg Config) *lockstep {
+	c := New(cfg, &sim.Clock{}, nvm.NewUniform(nvm.DRAMLikeNVM()), nil)
+	return &lockstep{c: c, ref: newRefCache(cfg)}
+}
+
+func (l *lockstep) load(a mem.Addr, size int) {
+	l.c.Load(a, size)
+	l.ref.access(a, size, false)
+}
+
+func (l *lockstep) store(a mem.Addr, size int) {
+	l.c.Store(a, size)
+	l.ref.access(a, size, true)
+}
+
+func (l *lockstep) flush(a mem.Addr, size int) {
+	l.c.Flush(a, size)
+	l.ref.flush(a, size, false)
+}
+
+func (l *lockstep) flushOpt(a mem.Addr, size int) {
+	l.c.FlushOpt(a, size)
+	l.ref.flush(a, size, true)
+}
+
+func (l *lockstep) writebackAll() {
+	l.c.WritebackAll()
+	l.ref.writebackAll()
+}
+
+func (l *lockstep) discardAll() {
+	l.c.DiscardAll()
+	l.ref.discardAll()
+}
+
+// compare reports the first divergence between simulator and reference:
+// an event counter, the residency or dirtiness of a line in one of the
+// [lo, hi) line ranges (read through Contains, a set scan that consults
+// neither the directory nor the occupancy index), or the dirty count.
+func (l *lockstep) compare(ranges ...[2]uint64) error {
+	st, ref := l.c.Stats(), l.ref
+	if st.Loads != ref.loads || st.Stores != ref.stores ||
+		st.LineHits != ref.hits || st.LineMisses != ref.misses ||
+		st.Writebacks != ref.writebacks || st.Flushes != ref.flushes ||
+		st.FlushDirty != ref.flushDirty {
+		return fmt.Errorf("stats diverge\ncache: %+v\nref:   loads=%d stores=%d hits=%d misses=%d wb=%d fl=%d fld=%d",
+			st, ref.loads, ref.stores, ref.hits, ref.misses, ref.writebacks, ref.flushes, ref.flushDirty)
+	}
+	for _, r := range ranges {
+		for ln := r[0]; ln < r[1]; ln++ {
+			res, dirty := l.c.Contains(mem.Addr(ln * uint64(ref.lineBytes)))
+			w := ref.find(ln)
+			wantRes := w != nil
+			wantDirty := wantRes && w.dirty
+			if res != wantRes || dirty != wantDirty {
+				return fmt.Errorf("line %d state (%v,%v), ref (%v,%v)", ln, res, dirty, wantRes, wantDirty)
+			}
+		}
+	}
+	if got, want := l.c.DirtyLines(), refDirty(ref); got != want {
+		return fmt.Errorf("DirtyLines %d, ref %d", got, want)
+	}
+	return nil
+}
+
+// auditDirectory checks directory ≡ ways, the invariant the hit path
+// rests on. Every entry names a valid way that holds the entry's line
+// and agrees with it on dirtiness, and every valid way below the bound is
+// the one its line's entry names — so an entry exists iff exactly one
+// valid way holds the line. The slice never reaches past dirMaxLines, so
+// no wild line has an entry.
+func auditDirectory(c *Cache) error {
+	if len(c.wayOf) > dirMaxLines {
+		return fmt.Errorf("directory has %d entries, past the bound %d", len(c.wayOf), dirMaxLines)
+	}
+	for ln, e := range c.wayOf {
+		if e == 0 {
+			continue
+		}
+		wi := int(e&dirWay) - 1
+		if wi >= len(c.ways) {
+			return fmt.Errorf("line %d: entry %#x names way %d of %d", ln, e, wi, len(c.ways))
+		}
+		w := c.ways[wi]
+		if !w.valid || w.tag != uint64(ln) {
+			return fmt.Errorf("line %d: entry %#x names way %d, which holds %+v", ln, e, wi, w)
+		}
+		if (e&dirDirty != 0) != w.dirty {
+			return fmt.Errorf("line %d: entry %#x disagrees with way %d on dirtiness: %+v", ln, e, wi, w)
+		}
+	}
+	for wi, w := range c.ways {
+		if !w.valid || w.tag >= dirMaxLines {
+			continue
+		}
+		if w.tag >= uint64(len(c.wayOf)) || int(c.wayOf[w.tag]&dirWay)-1 != wi {
+			return fmt.Errorf("way %d holds %+v, but the directory does not name it", wi, w)
+		}
+	}
+	return nil
+}
+
 // TestCacheMatchesReferenceModel is the property test: randomized small
-// access streams (loads, stores, CLFLUSH, CLWB, drains, crashes) must
-// leave the optimized simulator and the naive reference in identical
-// states — event counters and per-line residency/dirtiness alike.
+// access streams (loads, stores, CLFLUSH, CLWB, drains, crashes, over
+// directory lines and wild ones) must leave the optimized simulator and
+// the naive reference in identical states — event counters and per-line
+// residency/dirtiness alike — and the directory equal to the ways after
+// every single operation.
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	configs := []Config{
 		{SizeBytes: 2 << 10, LineBytes: 64, Assoc: 4, HitNS: 4, FlushChargesClean: true, PrefetchStreams: 16},
@@ -154,40 +267,26 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 		{SizeBytes: 3 << 10, LineBytes: 64, Assoc: 12, HitNS: 2, FlushChargesClean: true, PrefetchStreams: 4},
 	}
 	const (
-		addrLines = 96 // address space: more lines than the cache holds
+		addrLines = 96   // address space: more lines than the cache holds
+		maxDir    = 2048 // regrow ops stop once the directory is this long
 		ops       = 4000
 	)
 	for ci, cfg := range configs {
 		for seed := int64(0); seed < 4; seed++ {
 			rng := rand.New(rand.NewSource(1000*int64(ci) + seed))
-			clock := &sim.Clock{}
-			c := New(cfg, clock, nvm.NewUniform(nvm.DRAMLikeNVM()), nil)
-			ref := newRefCache(cfg)
+			l := newLockstep(cfg)
+			c := l.c
+			line := cfg.LineBytes
 
 			check := func(step int) {
 				t.Helper()
-				st := c.Stats()
-				if st.Loads != ref.loads || st.Stores != ref.stores ||
-					st.LineHits != ref.hits || st.LineMisses != ref.misses ||
-					st.Writebacks != ref.writebacks || st.Flushes != ref.flushes ||
-					st.FlushDirty != ref.flushDirty {
-					t.Fatalf("cfg %d seed %d step %d: stats diverge\ncache: %+v\nref:   loads=%d stores=%d hits=%d misses=%d wb=%d fl=%d fld=%d",
-						ci, seed, step, st, ref.loads, ref.stores, ref.hits, ref.misses,
-						ref.writebacks, ref.flushes, ref.flushDirty)
-				}
-				for ln := 0; ln < addrLines; ln++ {
-					a := mem.Addr(ln * cfg.LineBytes)
-					res, dirty := c.Contains(a)
-					w := ref.find(uint64(ln))
-					wantRes := w != nil
-					wantDirty := wantRes && w.dirty
-					if res != wantRes || dirty != wantDirty {
-						t.Fatalf("cfg %d seed %d step %d: line %d state (%v,%v), ref (%v,%v)",
-							ci, seed, step, ln, res, dirty, wantRes, wantDirty)
-					}
-				}
-				if got, want := c.DirtyLines(), refDirty(ref); got != want {
-					t.Fatalf("cfg %d seed %d step %d: DirtyLines %d, ref %d", ci, seed, step, got, want)
+				// Every line a stream can have touched: the regrow ops
+				// reach the directory's end, the wild ops mirror the
+				// address space past the bound.
+				err := l.compare([2]uint64{0, uint64(len(c.wayOf)) + 4},
+					[2]uint64{dirMaxLines, dirMaxLines + addrLines + 4})
+				if err != nil {
+					t.Fatalf("cfg %d seed %d step %d: %v", ci, seed, step, err)
 				}
 			}
 			// The occupancy index is lazy, so it is checked after every
@@ -209,27 +308,37 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 				}
 			}
 			for i := 0; i < ops; i++ {
-				a := mem.Addr(rng.Intn(addrLines * cfg.LineBytes))
-				size := 1 + rng.Intn(3*cfg.LineBytes) // up to 4 lines per access
+				a := mem.Addr(rng.Intn(addrLines * line))
+				if rng.Intn(25) == 0 {
+					a += dirMaxLines * mem.Addr(line) // a wild line
+				}
+				size := 1 + rng.Intn(3*line) // up to 4 lines per access
 				switch p := rng.Intn(100); {
-				case p < 40:
-					c.Load(a, size)
-					ref.access(a, size, false)
-				case p < 80:
-					c.Store(a, size)
-					ref.access(a, size, true)
-				case p < 89:
-					c.Flush(a, size)
-					ref.flush(a, size, false)
-				case p < 96:
-					c.FlushOpt(a, size)
-					ref.flush(a, size, true)
-				case p < 97:
-					c.WritebackAll()
-					ref.writebackAll()
-				default:
-					c.DiscardAll()
-					ref.discardAll()
+				case p < 38:
+					l.load(a, size)
+				case p < 76:
+					l.store(a, size)
+				case p < 84:
+					l.flush(a, size)
+				case p < 90:
+					l.flushOpt(a, size)
+				case p < 93: // a store hit on lines CLWB just cleaned
+					l.flushOpt(a, size)
+					l.store(a, size)
+				case p < 95:
+					l.writebackAll()
+				case p < 97: // the later lines of one load regrow the directory
+					if n := len(c.wayOf); n >= 2 && n < maxDir {
+						l.load(mem.Addr((n-2)*line), 4*line)
+					}
+				case p < 98:
+					l.discardAll()
+				default: // the crash protocol
+					l.discardAll()
+					c.ResetVolatile()
+				}
+				if err := auditDirectory(c); err != nil {
+					t.Fatalf("cfg %d seed %d step %d: %v", ci, seed, i, err)
 				}
 				checkIndex(i)
 				if i%251 == 0 {
@@ -264,10 +373,12 @@ func scanDirty(c *Cache) []mem.Addr {
 	return addrs
 }
 
-// TestOccupancyIndexStaleMarksAndWildLines covers what the random
-// streams do not reach: marks left behind by many dirty-and-flush rounds
-// are dropped by the next walk, a dirty line past the directory bound is
-// still enumerated, and DiscardAll clears exactly what was filled.
+// TestOccupancyIndexStaleMarksAndWildLines pins down, step by step, what
+// the random streams only pass through: marks left behind by many
+// dirty-and-flush rounds are dropped by the next walk, a dirty line past
+// the directory bound is enumerated and dirtied again without ever
+// getting a directory entry, and DiscardAll clears exactly what was
+// filled — ways and directory entries both.
 func TestOccupancyIndexStaleMarksAndWildLines(t *testing.T) {
 	cfg := Config{SizeBytes: 1 << 10, LineBytes: 64, Assoc: 4, HitNS: 1}
 	c := New(cfg, &sim.Clock{}, nvm.NewUniform(nvm.DRAMLikeNVM()), nil)
@@ -293,6 +404,9 @@ func TestOccupancyIndexStaleMarksAndWildLines(t *testing.T) {
 	if got := c.DirtyLineAddrs(); !slices.Equal(got, want) {
 		t.Fatalf("DirtyLineAddrs = %v, want %v", got, want)
 	}
+	if len(c.wayOf) >= dirMaxLines {
+		t.Fatalf("the wild line grew the directory to %d entries", len(c.wayOf))
+	}
 	// A wild line dirtied again by a store hit is found through the set
 	// scan, not the directory.
 	c.FlushOpt(wild, 8)
@@ -303,10 +417,18 @@ func TestOccupancyIndexStaleMarksAndWildLines(t *testing.T) {
 	if got := c.DirtyLineAddrs(); !slices.Equal(got, want) {
 		t.Fatalf("DirtyLineAddrs after CLWB+store of the wild line = %v, want %v", got, want)
 	}
+	if err := auditDirectory(c); err != nil {
+		t.Fatal(err)
+	}
 	c.DiscardAll()
 	for i := range c.ways {
 		if c.ways[i] != (way{}) {
 			t.Fatalf("way %d survived DiscardAll: %+v", i, c.ways[i])
+		}
+	}
+	for ln, e := range c.wayOf {
+		if e != 0 {
+			t.Fatalf("directory entry of line %d survived DiscardAll: %#x", ln, e)
 		}
 	}
 	if c.DirtyLines() != 0 {

@@ -95,7 +95,10 @@ func (v *vers) versions() *vers { return v }
 type Heap struct {
 	next    Addr
 	regions []Region // sorted by base address
-	acc     Accessor
+	// bases[i] is regions[i].Base(): find searches plain addresses
+	// instead of calling through the Region interface per probe.
+	bases []Addr
+	acc   Accessor
 	// lastFind (with its bounds denormalized into plain values, so the
 	// memo check costs two compares and no interface calls) memoizes
 	// the region of the most recent lookup: writebacks stream through
@@ -157,6 +160,7 @@ func (h *Heap) reserve(size int) Addr {
 
 func (h *Heap) addRegion(r Region) {
 	h.regions = append(h.regions, r)
+	h.bases = append(h.bases, r.Base())
 }
 
 // Writeback copies the byte range [a, a+size) from the live data into the
@@ -185,14 +189,11 @@ func (h *Heap) find(a Addr) Region {
 	if r := h.lastFind; r != nil && a >= h.lastBase && a < h.lastEnd {
 		return r
 	}
-	i := sort.Search(len(h.regions), func(i int) bool {
-		return h.regions[i].Base() > a
-	})
+	i := sort.Search(len(h.bases), func(i int) bool { return h.bases[i] > a })
 	if i == 0 {
 		return nil
 	}
-	r := h.regions[i-1]
-	base := r.Base()
+	r, base := h.regions[i-1], h.bases[i-1]
 	end := base + Addr(r.Bytes())
 	if a >= end {
 		return nil

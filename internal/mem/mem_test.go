@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -222,6 +223,66 @@ func TestFindRegionBoundaries(t *testing.T) {
 	}
 	if r := h.find(b.Base()); r != Region(b) {
 		t.Error("find(b.Base) != b")
+	}
+}
+
+// TestFindUnmapped probes the addresses no region owns — the padded tail
+// between two regions, below the first, past the last — with the memo
+// primed on a neighbour each time, so both the memo check and the search
+// over the base table must say no; a hit afterwards shows a miss leaves
+// the memo usable.
+func TestFindUnmapped(t *testing.T) {
+	h := NewHeap(nil)
+	a := h.AllocF64("a", 3) // 24 of its line's 64 bytes: the rest is a gap
+	b := h.AllocI64("b", 8)
+	c := h.AllocF64("c", 8)
+	a.Live()[2], b.Live()[0] = 7, 9
+	h.SyncAllImages()
+	gap := a.Base() + Addr(a.Bytes())
+	end := c.Base() + Addr(c.Bytes())
+	for _, tc := range []struct {
+		name  string
+		prime Region
+		at    Addr
+	}{
+		{"first byte of the gap", a, gap},
+		{"last byte of the gap", b, b.Base() - 1},
+		{"address 0", a, 0},
+		{"just past the last region", c, end},
+		{"far past the last region", b, end + 1<<40},
+		{"the top of the address space", c, ^Addr(0)},
+	} {
+		if r := h.find(tc.prime.Base()); r != tc.prime {
+			t.Fatalf("%s: priming find(%s.Base) = %v", tc.name, tc.prime.Name(), r)
+		}
+		if r := h.find(tc.at); r != nil {
+			t.Errorf("%s: find(%#x) = %s, want nil", tc.name, tc.at, r.Name())
+		}
+		if r := h.find(tc.prime.Base()); r != tc.prime {
+			t.Errorf("%s: find(%s.Base) after the miss = %v", tc.name, tc.prime.Name(), r)
+		}
+	}
+	if _, ok := h.ImageWord(gap); ok {
+		t.Error("ImageWord maps the gap")
+	}
+	if _, ok := h.ImageWord(end); ok {
+		t.Error("ImageWord maps the address past the last region")
+	}
+	if w, ok := h.ImageWord(gap - 8); !ok || math.Float64frombits(w) != 7 {
+		t.Errorf("ImageWord(last word of a) = %#x, %v", w, ok)
+	}
+	var live, image [LineSize / 8]uint64
+	if n := h.LineWords(a.Base(), &live, &image); n != 3 {
+		t.Errorf("LineWords(a) = %d words, want the 3 mapped ones", n)
+	}
+	if n := h.LineWords(end, &live, &image); n != 0 {
+		t.Errorf("LineWords past the last region = %d words", n)
+	}
+	// A writeback that starts in the gap stops there.
+	b.Live()[0] = 11
+	h.Writeback(gap, 2*LineSize)
+	if got := b.Image()[0]; got != 9 {
+		t.Errorf("writeback from the gap reached b: image %d", got)
 	}
 }
 
