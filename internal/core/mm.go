@@ -33,7 +33,9 @@ type MMOptions struct {
 	Seed int64
 }
 
-func (o *MMOptions) setDefaults() {
+// normalize fills the defaults and rejects a dimension the rank does not
+// divide.
+func (o *MMOptions) normalize() error {
 	if o.InvTol == 0 {
 		o.InvTol = 1e-8
 	}
@@ -44,7 +46,17 @@ func (o *MMOptions) setDefaults() {
 		o.K = 16
 	}
 	if o.N%o.K != 0 {
-		panic(fmt.Sprintf("core: MM N=%d not divisible by K=%d", o.N, o.K))
+		return fmt.Errorf("core: MM N=%d not divisible by K=%d", o.N, o.K)
+	}
+	return nil
+}
+
+// setDefaults is normalize for the constructors, which have no error to
+// return; the engine.Workload adapters call normalize in Prepare, so a
+// bad shape built from user input reaches the caller as an error.
+func (o *MMOptions) setDefaults() {
+	if err := o.normalize(); err != nil {
+		panic(err.Error())
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -39,15 +40,7 @@ func (w *CGWorkload) Prepare(m *crash.Machine, em *crash.Emulator) error {
 		return fmt.Errorf("cg: Prepare called twice")
 	}
 	if w.A == nil {
-		n := w.N
-		if n == 0 {
-			n = 2000
-		}
-		nnz := w.NnzRow
-		if nnz == 0 {
-			nnz = 9
-		}
-		w.A = sparse.GenSPD(n, nnz, w.Opts.Seed)
+		w.A = sparse.GenSPD(cmp.Or(w.N, 2000), cmp.Or(w.NnzRow, 9), w.Opts.Seed)
 	}
 	w.cg = NewCG(m, em, w.A, w.Opts)
 	return nil
@@ -72,10 +65,11 @@ func (w *CGWorkload) Recover() (int64, error) {
 // the system to the tolerance the iteration count supports. The residual
 // of a healthy run decreases monotonically from 1 (z=0); a corrupted
 // recovery leaves it large.
-func (w *CGWorkload) Verify() error {
-	r := w.cg.Residual()
-	if math.IsNaN(r) || r >= 1 {
-		return fmt.Errorf("cg: relative residual %v after %d iterations", r, w.cg.Opts.MaxIter)
+func (w *CGWorkload) Verify() error { return cgVerify(w.cg.Residual(), w.cg.Opts.MaxIter) }
+
+func cgVerify(residual float64, iters int) error {
+	if math.IsNaN(residual) || residual >= 1 {
+		return fmt.Errorf("cg: relative residual %v after %d iterations", residual, iters)
 	}
 	return nil
 }
@@ -135,6 +129,9 @@ func (w *MMWorkload) Name() string { return "mm" }
 func (w *MMWorkload) Prepare(m *crash.Machine, em *crash.Emulator) error {
 	if w.mm != nil {
 		return fmt.Errorf("mm: Prepare called twice")
+	}
+	if err := w.Opts.normalize(); err != nil {
+		return err
 	}
 	w.mm = NewMM(m, em, w.Opts)
 	return nil
@@ -280,8 +277,7 @@ func (w *MCWorkload) Verify() error {
 // Metrics implements engine.Workload.
 func (w *MCWorkload) Metrics() map[string]float64 {
 	out := map[string]float64{}
-	pct := mc.Percentages(w.sim.Counts(), w.Cfg.Lookups)
-	for k, p := range pct {
+	for k, p := range mc.Percentages(w.sim.Counts(), w.Cfg.Lookups) {
 		out[fmt.Sprintf("type%d_pct", k+1)] = p
 	}
 	return out
@@ -314,15 +310,7 @@ func (w *BaselineCGWorkload) Prepare(m *crash.Machine, em *crash.Emulator) error
 		return fmt.Errorf("cg: Prepare called twice")
 	}
 	if w.A == nil {
-		n := w.N
-		if n == 0 {
-			n = 2000
-		}
-		nnz := w.NnzRow
-		if nnz == 0 {
-			nnz = 9
-		}
-		w.A = sparse.GenSPD(n, nnz, w.Opts.Seed)
+		w.A = sparse.GenSPD(cmp.Or(w.N, 2000), cmp.Or(w.NnzRow, 9), w.Opts.Seed)
 	}
 	w.bg = NewBaselineCG(m, w.A, w.Opts, w.Scheme)
 	w.bg.Em = em
@@ -343,13 +331,7 @@ func (w *BaselineCGWorkload) Recover() (int64, error) {
 
 // Verify implements engine.Workload: same residual bound as the
 // extended solver.
-func (w *BaselineCGWorkload) Verify() error {
-	r := w.bg.Residual()
-	if math.IsNaN(r) || r >= 1 {
-		return fmt.Errorf("cg: relative residual %v after %d iterations", r, w.bg.Opts.MaxIter)
-	}
-	return nil
-}
+func (w *BaselineCGWorkload) Verify() error { return cgVerify(w.bg.Residual(), w.bg.Opts.MaxIter) }
 
 // Metrics implements engine.Workload.
 func (w *BaselineCGWorkload) Metrics() map[string]float64 {
@@ -380,6 +362,9 @@ func (w *BaselineMMWorkload) Prepare(m *crash.Machine, em *crash.Emulator) error
 	if w.bm != nil {
 		return fmt.Errorf("mm: Prepare called twice")
 	}
+	if err := w.Opts.normalize(); err != nil {
+		return err
+	}
 	w.bm = NewBaselineMM(m, w.Opts, w.Scheme)
 	w.bm.Em = em
 	return nil
@@ -409,6 +394,27 @@ func (w *BaselineMMWorkload) Metrics() map[string]float64 {
 		"panels":       float64(len(w.bm.PanelNS)),
 		"avg_panel_ns": float64(AvgPositiveNS(w.bm.PanelNS)),
 	}
+}
+
+// NewCGWorkload builds CG's implementation for sc: the extended solver
+// under algorithm-directed schemes, the Figure 1 baseline under the
+// scheme's guard otherwise.
+func NewCGWorkload(a *sparse.CSR, opts CGOptions, sc engine.Scheme) engine.Workload {
+	if sc.Kind() == engine.KindAlgo {
+		return &CGWorkload{A: a, Opts: opts}
+	}
+	return &BaselineCGWorkload{A: a, Opts: opts, Scheme: sc}
+}
+
+// NewMMWorkload builds the multiplication's implementation for sc: the
+// extended two-loop ABFT under algorithm-directed schemes, the Figure 5
+// baseline under the scheme's guard otherwise. want may be nil (see
+// MMWorkload.Want).
+func NewMMWorkload(opts MMOptions, sc engine.Scheme, want *dense.Matrix) engine.Workload {
+	if sc.Kind() == engine.KindAlgo {
+		return &MMWorkload{Opts: opts, Want: want}
+	}
+	return &BaselineMMWorkload{Opts: opts, Want: want, Scheme: sc}
 }
 
 // Workloads returns one instance of each paper workload with CI-scale

@@ -104,3 +104,19 @@ func TestMCWorkloadSchemeOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMMWorkloadPrepareRejectsIndivisibleShape checks that a dimension
+// the rank does not divide reaches the caller as Prepare's error under
+// every scheme kind, rather than as the constructors' panic.
+func TestMMWorkloadPrepareRejectsIndivisibleShape(t *testing.T) {
+	opts := MMOptions{N: 192, K: 9}
+	for _, name := range []string{engine.SchemeAlgoNVM, engine.SchemeNative, engine.SchemeCkptNVM} {
+		w := NewMMWorkload(opts, engine.MustLookup(name), nil)
+		if err := w.Prepare(workloadMachine(), nil); err == nil {
+			t.Errorf("%s: Prepare accepted N=%d K=%d", name, opts.N, opts.K)
+		}
+	}
+	if err := NewMMWorkload(MMOptions{N: 192, K: 8}, engine.MustLookup(engine.SchemeAlgoNVM), nil).Prepare(workloadMachine(), nil); err != nil {
+		t.Errorf("Prepare rejected a divisible shape: %v", err)
+	}
+}

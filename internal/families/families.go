@@ -62,22 +62,14 @@ var builtin = []engine.Family{
 		Name:   "cg",
 		Shared: func(scale float64) any { return sparse.GenSPD(scaleInt(1200, scale, 300), 9, 11) },
 		New: func(sc engine.Scheme, _ float64, shared any) (engine.Workload, error) {
-			a, opts := shared.(*sparse.CSR), core.CGOptions{MaxIter: 15, Seed: 11}
-			if sc.Kind() == engine.KindAlgo {
-				return &core.CGWorkload{A: a, Opts: opts}, nil
-			}
-			return &core.BaselineCGWorkload{A: a, Opts: opts, Scheme: sc}, nil
+			return core.NewCGWorkload(shared.(*sparse.CSR), core.CGOptions{MaxIter: 15, Seed: 11}, sc), nil
 		},
 	},
 	{
 		Name:   "mm",
 		Shared: func(scale float64) any { return core.MMWant(mmOpts(scale)) },
 		New: func(sc engine.Scheme, scale float64, shared any) (engine.Workload, error) {
-			want, opts := shared.(*dense.Matrix), mmOpts(scale)
-			if sc.Kind() == engine.KindAlgo {
-				return &core.MMWorkload{Opts: opts, Want: want}, nil
-			}
-			return &core.BaselineMMWorkload{Opts: opts, Want: want, Scheme: sc}, nil
+			return core.NewMMWorkload(mmOpts(scale), sc, shared.(*dense.Matrix)), nil
 		},
 	},
 	{

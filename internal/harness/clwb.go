@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"adcc/internal/cache"
 	"adcc/internal/core"
 	"adcc/internal/crash"
 	"adcc/internal/engine"
-	"adcc/internal/mc"
 	"adcc/internal/sparse"
 )
 
@@ -24,58 +22,31 @@ func RunCLWBAblation(ctx context.Context, o Options) (*Table, error) {
 		Title:   "Algorithm-directed flush cost: CLFLUSH vs CLWB (paper §II prediction)",
 		Headers: []string{"Workload", "Instr", "Time(ms)", "Normalized"},
 	}
-	newM := func(instr crash.FlushInstr, llc, assoc int) *crash.Machine {
-		return crash.NewMachine(crash.MachineConfig{
-			System: crash.NVMOnly,
-			Cache: cache.Config{
-				SizeBytes: llc, LineBytes: 64, Assoc: assoc, HitNS: 4,
-				FlushChargesClean: true, PrefetchStreams: 16,
-			},
-			Flush: instr,
-		})
-	}
-
-	// CG: one iteration-counter flush per iteration.
 	cgN := o.scaleInt(40000, 2000)
 	a := sparse.GenSPD(cgN, 11, 21)
-	cgRun := func(instr crash.FlushInstr) int64 {
-		m := newM(instr, cgLLCBytes, 16)
-		cg := core.NewCG(m, nil, a, core.CGOptions{MaxIter: 12})
-		start := m.Clock.Now()
-		cg.Run(1)
-		return m.Clock.Since(start)
-	}
-
-	// MM: checksum row/column flushes per panel — the workload with
-	// the most flush traffic, where CLWB should matter most.
 	mmN := o.scaleInt(400, 160)
-	mmRun := func(instr crash.FlushInstr) int64 {
-		m := newM(instr, mmLLCBytes, 16)
-		mm := core.NewMM(m, nil, core.MMOptions{N: mmN, K: mmN / 20, Seed: 5})
-		start := m.Clock.Now()
-		mm.Run()
-		return m.Clock.Since(start)
-	}
-
-	// MC: critical-state flushes every period; the flushed lines are
-	// re-written immediately, so CLFLUSH pays a refill per flush.
+	mmK := mmN / 20
+	mmN = mmN / mmK * mmK // keep divisibility
 	cfg := mcConfig(o)
-	mcRun := func(instr crash.FlushInstr) int64 {
-		m := newM(instr, mcLLCBytes, mcAssoc)
-		s := mc.New(m.Heap, m.CPU, cfg)
-		r := core.NewMCRunner(m, nil, s, engine.MustLookup(engine.SchemeAlgoEvery))
-		start := m.Clock.Now()
-		r.Run(0)
-		return m.Clock.Since(start)
-	}
-
 	workloads := []struct {
-		name string
-		run  func(crash.FlushInstr) int64
+		name       string
+		llc, assoc int
+		new        func() engine.Workload
 	}{
-		{"CG (algo)", cgRun},
-		{"ABFT-MM (algo)", mmRun},
-		{"MC (flush-every-iter)", mcRun},
+		// CG: one iteration-counter flush per iteration.
+		{"CG (algo)", cgLLCBytes, 16, func() engine.Workload {
+			return &core.CGWorkload{A: a, Opts: core.CGOptions{MaxIter: 12}}
+		}},
+		// MM: checksum row/column flushes per panel — the workload with
+		// the most flush traffic, where CLWB should matter most.
+		{"ABFT-MM (algo)", mmLLCBytes, 16, func() engine.Workload {
+			return &core.MMWorkload{Opts: core.MMOptions{N: mmN, K: mmK, Seed: 5}}
+		}},
+		// MC: critical-state flushes every period; the flushed lines are
+		// re-written immediately, so CLFLUSH pays a refill per flush.
+		{"MC (flush-every-iter)", mcLLCBytes, mcAssoc, func() engine.Workload {
+			return &core.MCWorkload{Cfg: cfg, Scheme: engine.MustLookup(engine.SchemeAlgoEvery)}
+		}},
 	}
 	instrs := []crash.FlushInstr{crash.CLFLUSH, crash.CLWB}
 	label := func(i int) string {
@@ -85,7 +56,8 @@ func RunCLWBAblation(ctx context.Context, o Options) (*Table, error) {
 		w := workloads[i/len(instrs)]
 		instr := instrs[i%len(instrs)]
 		o.logf("clwb: %s instr=%d", w.name, instr)
-		return w.run(instr), nil
+		m := crash.NewMachine(crash.MachineConfig{System: crash.NVMOnly, Cache: llcConfig(w.llc, w.assoc), Flush: instr})
+		return timedRun(m, w.new())
 	})
 	if err != nil {
 		return nil, err

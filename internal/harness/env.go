@@ -31,17 +31,6 @@ func newMachine(kind crash.SystemKind, llcBytes, assoc int) *crash.Machine {
 	})
 }
 
-// newMachineTier is newMachine with an explicit DRAM-cache size, used by
-// the MC experiments whose data set is scaled down ~10x from the paper's
-// 246 MB grids (the DRAM cache scales with it).
-func newMachineTier(kind crash.SystemKind, llcBytes, assoc, dramCacheBytes int) *crash.Machine {
-	return crash.NewMachine(crash.MachineConfig{
-		System:         kind,
-		Cache:          llcConfig(llcBytes, assoc),
-		DRAMCacheBytes: dramCacheBytes,
-	})
-}
-
 // Case labels for the seven-case comparison (paper §III-A), aliased to
 // the engine's scheme-registry names so table rows and registry lookups
 // cannot drift apart.
@@ -54,16 +43,6 @@ const (
 	caseAlgoNVM    = engine.SchemeAlgoNVM
 	caseAlgoHetero = engine.SchemeAlgoHetero
 )
-
-// sevenCases returns the schemes in the paper's presentation order.
-func sevenCases() []engine.Scheme {
-	return engine.SevenCases()
-}
-
-// schemeLabel builds an event-label function over a scheme slice.
-func schemeLabel(cases []engine.Scheme) func(i int) string {
-	return func(i int) string { return cases[i].Name() }
-}
 
 // normalize computes t/base as a ratio string-friendly float.
 func normalize(t, base int64) float64 {

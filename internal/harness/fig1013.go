@@ -3,8 +3,8 @@ package harness
 import (
 	"context"
 	"fmt"
+	"math"
 
-	"adcc/internal/bench"
 	"adcc/internal/core"
 	"adcc/internal/crash"
 	"adcc/internal/engine"
@@ -33,29 +33,42 @@ func mcConfig(o Options) mc.Config {
 	return cfg
 }
 
-// runMCResult runs the lookup loop under a scheme, optionally crashing
-// at 10% of the lookups and restarting. It returns the final counts and
-// the simulated runtime of the main loop (excluding setup). The accuracy
-// comparisons of Figures 10/12 all run on the NVM-only platform.
-func runMCResult(sc engine.Scheme, cfg mc.Config, withCrash bool) ([mc.NumTypes]int64, int64) {
-	m := newMachineTier(crash.NVMOnly, mcLLCBytes, mcAssoc, mcDRAMCache)
-	em := crash.NewEmulator(m)
-	s := mc.New(m.Heap, m.CPU, cfg)
-	r := core.NewMCRunner(m, em, s, sc)
-	r.FlushPeriod = harnessFlushPeriod(cfg.Lookups)
-	start := m.Clock.Now()
-	if withCrash {
-		em.CrashAtTrigger(core.TriggerMCLookup, cfg.Lookups/10)
-		if !em.Run(func() { r.Run(0) }) {
-			panic("harness: MC run did not crash")
-		}
-		from := r.RestartIter()
-		r.Em = nil
-		r.Run(from)
-	} else {
-		r.Run(0)
+// mcMachine is the platform of the MC experiments.
+func mcMachine(kind crash.SystemKind) *crash.Machine {
+	return crash.NewMachine(crash.MachineConfig{
+		System:         kind,
+		Cache:          llcConfig(mcLLCBytes, mcAssoc),
+		DRAMCacheBytes: mcDRAMCache,
+	})
+}
+
+// mcCrashRestart runs the lookup loop under sc on the NVM-only platform
+// (where the accuracy comparisons of Figures 10/12 all run), crashing at
+// 10% of the lookups and restarting, and returns the per-type result
+// percentages.
+func mcCrashRestart(sc engine.Scheme, cfg mc.Config, period int) ([mc.NumTypes]float64, error) {
+	w := &core.MCWorkload{Cfg: cfg, Scheme: sc, FlushPeriod: period}
+	ct, err := runCrashTest(mcMachine(crash.NVMOnly), w, core.TriggerMCLookup, cfg.Lookups/10)
+	return mcPercentages(ct.done), err
+}
+
+// mcPercentages reads the per-type result percentages off MCWorkload's
+// metrics.
+func mcPercentages(metrics map[string]float64) (pct [mc.NumTypes]float64) {
+	for k := range pct {
+		pct[k] = metrics[fmt.Sprintf("type%d_pct", k+1)]
 	}
-	return s.Counts(), m.Clock.Since(start)
+	return pct
+}
+
+// maxDelta is the largest per-type deviation between two results, in
+// percentage points.
+func maxDelta(a, b [mc.NumTypes]float64) float64 {
+	worst := 0.0
+	for k := range a {
+		worst = max(worst, math.Abs(a[k]-b[k]))
+	}
+	return worst
 }
 
 // harnessFlushPeriod is the paper's 0.01%-of-lookups period with a floor
@@ -63,11 +76,7 @@ func runMCResult(sc engine.Scheme, cfg mc.Config, withCrash bool) ([mc.NumTypes]
 // flushing on every iteration. It is used by the accuracy experiments
 // (Figures 10/12), where the period bounds the result loss.
 func harnessFlushPeriod(lookups int) int {
-	p := core.DefaultFlushPeriod(lookups)
-	if p < 10 {
-		p = 10
-	}
-	return p
+	return max(core.DefaultFlushPeriod(lookups), 10)
 }
 
 // runtimeFlushPeriod is the period used by the runtime experiment
@@ -78,53 +87,40 @@ func harnessFlushPeriod(lookups int) int {
 // the event-work-to-computation ratio of the paper's setup instead
 // (2% of the scaled lookups ~ 0.01% of the paper's).
 func runtimeFlushPeriod(lookups int) int {
-	p := lookups / 50
-	if p < 10 {
-		p = 10
-	}
-	return p
+	return max(lookups/50, 10)
 }
 
 // mcComparisonTable builds the Figure 10/12 style table comparing
 // no-crash and crash-and-restart counts for a flush policy.
 func mcComparisonTable(ctx context.Context, name, title string, o Options, sc engine.Scheme) (*Table, error) {
 	cfg := mcConfig(o)
+	period := harnessFlushPeriod(cfg.Lookups)
 	o.logf("%s: lookups=%d grid-points=%d", name, cfg.Lookups, cfg.PointsPerNuclide*cfg.Nuclides)
-	label := func(i int) string {
-		if i == 0 {
-			return "no-crash"
+	labels := []string{"no-crash", "crash-restart"}
+	label := func(i int) string { return labels[i] }
+	pcts, err := runCases(ctx, o, name, label, 2, func(i int) ([mc.NumTypes]float64, error) {
+		if i == 1 {
+			return mcCrashRestart(sc, cfg, period)
 		}
-		return "crash-restart"
-	}
-	counts, err := runCases(ctx, o, name, label, 2, func(i int) ([mc.NumTypes]int64, error) {
-		c, _ := runMCResult(sc, cfg, i == 1)
-		return c, nil
+		w := &core.MCWorkload{Cfg: cfg, Scheme: sc, FlushPeriod: period}
+		_, err := timedRun(mcMachine(crash.NVMOnly), w)
+		return mcPercentages(w.Metrics()), err
 	})
 	if err != nil {
 		return nil, err
 	}
-	base, crashed := counts[0], counts[1]
+	bp, cp := pcts[0], pcts[1]
 	t := &Table{
 		Name:    name,
 		Title:   title,
 		Headers: []string{"Type", "NoCrash(%)", "CrashRestart(%)", "Delta(pp)"},
 	}
-	bp := mc.Percentages(base, cfg.Lookups)
-	cp := mc.Percentages(crashed, cfg.Lookups)
-	maxDelta := 0.0
-	for k := 0; k < mc.NumTypes; k++ {
-		d := cp[k] - bp[k]
-		if d < 0 {
-			d = -d
-		}
-		if d > maxDelta {
-			maxDelta = d
-		}
+	for k := range bp {
 		t.AddRow(k+1, fmt.Sprintf("%.2f", bp[k]), fmt.Sprintf("%.2f", cp[k]),
 			fmt.Sprintf("%+.2f", cp[k]-bp[k]))
 	}
 	t.AddNote("crash at 10%% of lookups, identical sampled inputs in both runs (paper methodology)")
-	t.AddNote("max per-type deviation: %.2f percentage points", maxDelta)
+	t.AddNote("max per-type deviation: %.2f percentage points", maxDelta(cp, bp))
 	return t, nil
 }
 
@@ -146,74 +142,32 @@ func RunFig12(ctx context.Context, o Options) (*Table, error) {
 		o, engine.MustLookup(engine.SchemeAlgoNVM))
 }
 
-// fig13Run measures the lookup loop's runtime under one scheme.
-func fig13Run(sc engine.Scheme, cfg mc.Config) int64 {
-	m := newMachineTier(sc.System(), mcLLCBytes, mcAssoc, mcDRAMCache)
-	s := mc.New(m.Heap, m.CPU, cfg)
-	r := core.NewMCRunner(m, nil, s, sc)
-	r.FlushPeriod = runtimeFlushPeriod(cfg.Lookups)
-	start := m.Clock.Now()
-	r.Run(0)
-	return m.Clock.Since(start)
-}
-
 // RunFig13 reproduces Figure 13: runtime of the lookup loop under the
 // seven cases, with checkpoint/flush periods of 0.01% of lookups.
 func RunFig13(ctx context.Context, o Options) (*Table, error) {
 	cfg := mcConfig(o)
-	t := &Table{
-		Name:    "fig13",
-		Title:   "XSBench runtime, seven mechanisms (normalized to native)",
-		Headers: []string{"Case", "System", "Time(ms)", "Normalized", "Paper"},
-	}
-	paperRef := map[string]string{
-		caseNative:     "1.000",
-		caseCkptHDD:    "large",
-		caseCkptNVM:    "~1.00",
-		caseCkptHetero: "~1.13",
-		casePMEM:       "n/a",
-		caseAlgoNVM:    "<=1.0005",
-		caseAlgoHetero: "<=1.0005",
-	}
-	kinds := []crash.SystemKind{crash.NVMOnly, crash.Hetero}
-	baseLabel := func(i int) string { return "native@" + kinds[i].String() }
-	baseTimes, err := runCases(ctx, o, "fig13/base", baseLabel, len(kinds), func(i int) (int64, error) {
-		m := newMachineTier(kinds[i], mcLLCBytes, mcAssoc, mcDRAMCache)
-		s := mc.New(m.Heap, m.CPU, cfg)
-		r := core.NewMCRunner(m, nil, s, nil)
-		start := m.Clock.Now()
-		r.Run(0)
-		return m.Clock.Since(start), nil
+	period := runtimeFlushPeriod(cfg.Lookups)
+	return runRuntimeTable(ctx, o, runtimeTable{
+		name:    "fig13",
+		title:   "XSBench runtime, seven mechanisms (normalized to native)",
+		shape:   fmt.Sprintf("lookups=%d grid-points=%d", cfg.Lookups, cfg.PointsPerNuclide*cfg.Nuclides),
+		machine: mcMachine,
+		cases:   engine.SevenCases(),
+		variants: []runtimeVariant{{new: func(sc engine.Scheme) engine.Workload {
+			return &core.MCWorkload{Cfg: cfg, Scheme: sc, FlushPeriod: period}
+		}}},
+		tailHeaders: []string{"Paper"},
+		tail: paperColumn(map[string]string{
+			caseNative:     "1.000",
+			caseCkptHDD:    "large",
+			caseCkptNVM:    "~1.00",
+			caseCkptHetero: "~1.13",
+			casePMEM:       "n/a",
+			caseAlgoNVM:    "<=1.0005",
+			caseAlgoHetero: "<=1.0005",
+		}),
+		notes: []string{fmt.Sprintf("checkpoint/flush period = %d lookups (event-work-to-computation ratio of the paper's 0.01%% of 1.5e7 setup)", period)},
 	})
-	if err != nil {
-		return nil, err
-	}
-	base := map[crash.SystemKind]int64{}
-	for i, kind := range kinds {
-		base[kind] = baseTimes[i]
-	}
-	cases := sevenCases()
-	times, err := runCases(ctx, o, "fig13", schemeLabel(cases), len(cases), func(i int) (int64, error) {
-		sc := cases[i]
-		o.logf("fig13: case %s", sc.Name())
-		if sc.Name() == caseNative {
-			return base[crash.NVMOnly], nil
-		}
-		return fig13Run(sc, cfg), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, sc := range cases {
-		ns := times[i]
-		sys := sc.System()
-		o.Collector.Record(bench.Result{Name: "fig13/" + sc.Name(), SimNS: ns})
-		t.AddRow(sc.Name(), sys.String(),
-			fmt.Sprintf("%.2f", float64(ns)/1e6),
-			normalize(ns, base[sys]), paperRef[sc.Name()])
-	}
-	t.AddNote("checkpoint/flush period = %d lookups (event-work-to-computation ratio of the paper's 0.01%% of 1.5e7 setup)", runtimeFlushPeriod(cfg.Lookups))
-	return t, nil
 }
 
 // RunMCFlushAblation sweeps the flush period, reporting runtime overhead
@@ -227,56 +181,35 @@ func RunMCFlushAblation(ctx context.Context, o Options) (*Table, error) {
 		Headers: []string{"Period", "Overhead(%)", "MaxDelta(pp)"},
 	}
 	selective := engine.MustLookup(engine.SchemeAlgoNVM)
-	// Native baseline.
-	baseCounts, baseNS := runMCResult(nil, cfg, false)
-	basePct := mc.Percentages(baseCounts, cfg.Lookups)
-	periods := []int{1, 10, 100, core.DefaultFlushPeriod(cfg.Lookups) * 10}
-	label := func(i int) string { return fmt.Sprintf("period-%d", periods[i]) }
-	rows, err := runCases(ctx, o, "mc-flush", label, len(periods), func(i int) ([]any, error) {
-		period := periods[i]
-		o.logf("mc-flush: period=%d", period)
-		// Runtime without crash.
-		m := newMachine(crash.NVMOnly, mcLLCBytes, mcAssoc)
-		s := mc.New(m.Heap, m.CPU, cfg)
-		r := core.NewMCRunner(m, nil, s, selective)
-		r.FlushPeriod = period
-		start := m.Clock.Now()
-		r.Run(0)
-		ns := m.Clock.Since(start)
-
-		// Accuracy with crash.
-		m2 := newMachine(crash.NVMOnly, mcLLCBytes, mcAssoc)
-		em2 := crash.NewEmulator(m2)
-		s2 := mc.New(m2.Heap, m2.CPU, cfg)
-		r2 := core.NewMCRunner(m2, em2, s2, selective)
-		r2.FlushPeriod = period
-		em2.CrashAtTrigger(core.TriggerMCLookup, cfg.Lookups/10)
-		if !em2.Run(func() { r2.Run(0) }) {
-			return nil, fmt.Errorf("mc-flush: no crash at period %d", period)
-		}
-		from := r2.RestartIter()
-		r2.Em = nil
-		r2.Run(from)
-		pct := mc.Percentages(s2.Counts(), cfg.Lookups)
-		maxDelta := 0.0
-		for k := range pct {
-			d := pct[k] - basePct[k]
-			if d < 0 {
-				d = -d
-			}
-			if d > maxDelta {
-				maxDelta = d
-			}
-		}
-		return []any{period,
-			fmt.Sprintf("%.2f", 100*normalize(ns-baseNS, baseNS)),
-			fmt.Sprintf("%.2f", maxDelta)}, nil
-	})
+	// Native baseline. (Native neither flushes nor checkpoints, so its
+	// period is immaterial.)
+	base := &core.MCWorkload{Cfg: cfg, Scheme: engine.MustLookup(caseNative)}
+	baseNS, err := timedRun(mcMachine(crash.NVMOnly), base)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range rows {
-		t.AddRow(r...)
+	basePct := mcPercentages(base.Metrics())
+	periods := []int{1, 10, 100, core.DefaultFlushPeriod(cfg.Lookups) * 10}
+	label := func(i int) string { return fmt.Sprintf("period-%d", periods[i]) }
+	err = runRows(ctx, o, t, label, len(periods), func(i int) ([]any, error) {
+		period := periods[i]
+		o.logf("mc-flush: period=%d", period)
+		// Runtime without crash.
+		ns, err := timedRun(mcMachine(crash.NVMOnly), &core.MCWorkload{Cfg: cfg, Scheme: selective, FlushPeriod: period})
+		if err != nil {
+			return nil, err
+		}
+		// Accuracy with crash.
+		pct, err := mcCrashRestart(selective, cfg, period)
+		if err != nil {
+			return nil, err
+		}
+		return []any{period,
+			fmt.Sprintf("%.2f", 100*normalize(ns-baseNS, baseNS)),
+			fmt.Sprintf("%.2f", maxDelta(pct, basePct))}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.AddNote("paper: flushing every iteration costs ~16%%; every 0.01%% of lookups is ~free and bounds loss to 0.01%%")
 	return t, nil

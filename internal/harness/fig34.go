@@ -17,11 +17,24 @@ import (
 // iterations, B and C stream and lose one).
 const cgLLCBytes = 4 << 20
 
+// cgCrashIter is where the CG crash tests inject: the end of iteration
+// 15, the last one, as in the paper.
+const cgCrashIter = 15
+
+// cgCrashTest crashes the extended solver on m at the end of iteration
+// cgCrashIter and recovers it. Beside the measurements it returns what
+// the recomputation-cost rows print them with: the iterations lost and
+// the average iteration time before the crash.
+func cgCrashTest(m *crash.Machine, a *sparse.CSR) (ct crashTest, lost int, avg int64, err error) {
+	w := &core.CGWorkload{A: a, Opts: core.CGOptions{MaxIter: cgCrashIter}}
+	ct, err = runCrashTest(m, w, core.TriggerCGIterEnd, cgCrashIter)
+	return ct, int(ct.done["iterations_lost"]), int64(ct.crashed["avg_iter_ns"]), err
+}
+
 // RunFig3 reproduces Figure 3: recomputation cost of crash-consistent CG
 // across input classes, broken into "detecting where to restart" and
 // "resuming computation", normalized by the average iteration time. The
-// crash fires at the end of iteration 15 on the heterogeneous NVM/DRAM
-// system, as in the paper.
+// crash fires on the heterogeneous NVM/DRAM system, as in the paper.
 func RunFig3(ctx context.Context, o Options) (*Table, error) {
 	t := &Table{
 		Name:  "fig3",
@@ -30,86 +43,38 @@ func RunFig3(ctx context.Context, o Options) (*Table, error) {
 			"Class", "n", "ItersLost", "Detect/iter", "Resume/iter", "Total/iter",
 		},
 	}
-	crashIter := 15
 	classes := sparse.Classes()
 	label := func(i int) string { return "class-" + classes[i].Name }
-	rows, err := runCases(ctx, o, "fig3", label, len(classes), func(ci int) ([]any, error) {
+	err := runRows(ctx, o, t, label, len(classes), func(ci int) ([]any, error) {
 		cl := classes[ci]
 		n := o.scaleInt(cl.N, 200)
 		o.logf("fig3: class %s n=%d", cl.Name, n)
 		a := sparse.GenSPD(n, cl.NnzRow, 1000+int64(len(cl.Name)))
-
-		m := newMachine(crash.Hetero, cgLLCBytes, 16)
-		em := crash.NewEmulator(m)
-		cg := core.NewCG(m, em, a, core.CGOptions{MaxIter: crashIter})
-		em.CrashAtTrigger(core.TriggerCGIterEnd, crashIter)
-		if !em.Run(func() { cg.Run(1) }) {
-			return nil, fmt.Errorf("fig3: class %s did not crash", cl.Name)
+		ct, lost, avg, err := cgCrashTest(newMachine(crash.Hetero, cgLLCBytes, 16), a)
+		if err != nil {
+			return nil, fmt.Errorf("fig3: class %s: %w", cl.Name, err)
 		}
-		avg := core.AvgIterNS(cg.IterNS)
-		rec := cg.Recover()
-		resumeStart := m.Clock.Now()
-		cg.Run(rec.RestartIter)
-		resume := m.Clock.Since(resumeStart)
-
 		o.Collector.Record(bench.Result{
 			Name:       "fig3/class-" + cl.Name,
-			SimNS:      rec.DetectNS + resume,
-			RecoveryNS: rec.DetectNS,
+			SimNS:      ct.recoverNS + ct.resumeNS,
+			RecoveryNS: ct.recoverNS,
 		})
-		return []any{cl.Name, n, rec.IterationsLost,
-			normalize(rec.DetectNS, avg), normalize(resume, avg),
-			normalize(rec.DetectNS+resume, avg)}, nil
+		return []any{cl.Name, n, lost,
+			normalize(ct.recoverNS, avg), normalize(ct.resumeNS, avg),
+			normalize(ct.recoverNS+ct.resumeNS, avg)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range rows {
-		t.AddRow(r...)
-	}
-	t.AddNote("crash at end of iteration %d on the NVM/DRAM system (paper setup)", crashIter)
+	t.AddNote("crash at end of iteration %d on the NVM/DRAM system (paper setup)", cgCrashIter)
 	t.AddNote("paper: classes S,W lose all 15 iterations; classes B,C lose 1")
 	return t, nil
 }
 
-// cgCase runs one scheme of the seven-case comparison for CG and returns
-// total simulated runtime. Algorithm-directed schemes run the extended
-// solver; the others run the Figure 1 baseline under the scheme's guard.
-func cgCase(sc engine.Scheme, a *sparse.CSR, opts core.CGOptions) int64 {
-	m := newMachine(sc.System(), cgLLCBytes, 16)
-	var start int64
-	if sc.Kind() == engine.KindAlgo {
-		cg := core.NewCG(m, nil, a, opts)
-		start = m.Clock.Now()
-		cg.Run(1)
-	} else {
-		bg := core.NewBaselineCG(m, a, opts, sc)
-		start = m.Clock.Now()
-		bg.Run()
-	}
-	return m.Clock.Since(start)
-}
-
-// cgNativeBase measures native execution on both memory systems, the
-// normalization denominators of Figure 4.
-func cgNativeBase(ctx context.Context, o Options, a *sparse.CSR, opts core.CGOptions) (map[crash.SystemKind]int64, error) {
-	kinds := []crash.SystemKind{crash.NVMOnly, crash.Hetero}
-	label := func(i int) string { return "native@" + kinds[i].String() }
-	times, err := runCases(ctx, o, "fig4/base", label, len(kinds), func(i int) (int64, error) {
-		m := newMachine(kinds[i], cgLLCBytes, 16)
-		bg := core.NewBaselineCG(m, a, opts, nil)
-		start := m.Clock.Now()
-		bg.Run()
-		return m.Clock.Since(start), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	base := map[crash.SystemKind]int64{}
-	for i, kind := range kinds {
-		base[kind] = times[i]
-	}
-	return base, nil
+// paperColumn is the tail of Figures 4 and 13: the paper's own
+// normalized value for each case.
+func paperColumn(ref map[string]string) func(engine.Scheme, engine.Workload) []any {
+	return func(sc engine.Scheme, _ engine.Workload) []any { return []any{ref[sc.Name()]} }
 }
 
 // RunFig4 reproduces Figure 4: CG runtime under the seven mechanisms,
@@ -117,56 +82,30 @@ func cgNativeBase(ctx context.Context, o Options, a *sparse.CSR, opts core.CGOpt
 // the input; checkpoint and PMEM act once per iteration so every
 // mechanism has the same one-iteration recomputation bound.
 func RunFig4(ctx context.Context, o Options) (*Table, error) {
-	t := &Table{
-		Name:  "fig4",
-		Title: "CG runtime, seven mechanisms (normalized to native)",
-		Headers: []string{
-			"Case", "System", "Time(ms)", "Normalized", "Paper",
-		},
-	}
 	cl, _ := sparse.ClassByName("C")
 	n := o.scaleInt(cl.N, 2000)
-	o.logf("fig4: class C n=%d", n)
 	a := sparse.GenSPD(n, cl.NnzRow, 77)
-	opts := core.CGOptions{MaxIter: 15}
-
-	paperRef := map[string]string{
-		caseNative:     "1.000",
-		caseCkptHDD:    "1.604",
-		caseCkptNVM:    "1.042",
-		caseCkptHetero: "1.436",
-		casePMEM:       "4.290",
-		caseAlgoNVM:    "<1.03",
-		caseAlgoHetero: "<1.03",
-	}
-
-	base, err := cgNativeBase(ctx, o, a, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	cases := sevenCases()
-	times, err := runCases(ctx, o, "fig4", schemeLabel(cases), len(cases), func(i int) (int64, error) {
-		sc := cases[i]
-		o.logf("fig4: case %s", sc.Name())
-		if sc.Name() == caseNative {
-			return base[crash.NVMOnly], nil
-		}
-		return cgCase(sc, a, opts), nil
+	return runRuntimeTable(ctx, o, runtimeTable{
+		name:    "fig4",
+		title:   "CG runtime, seven mechanisms (normalized to native)",
+		shape:   fmt.Sprintf("class C n=%d", n),
+		machine: func(kind crash.SystemKind) *crash.Machine { return newMachine(kind, cgLLCBytes, 16) },
+		cases:   engine.SevenCases(),
+		variants: []runtimeVariant{{new: func(sc engine.Scheme) engine.Workload {
+			return core.NewCGWorkload(a, core.CGOptions{MaxIter: 15}, sc)
+		}}},
+		tailHeaders: []string{"Paper"},
+		tail: paperColumn(map[string]string{
+			caseNative:     "1.000",
+			caseCkptHDD:    "1.604",
+			caseCkptNVM:    "1.042",
+			caseCkptHetero: "1.436",
+			casePMEM:       "4.290",
+			caseAlgoNVM:    "<1.03",
+			caseAlgoHetero: "<1.03",
+		}),
+		notes: []string{"checkpoint/PMEM act once per CG iteration (same recomputation bound as algo)"},
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, sc := range cases {
-		ns := times[i]
-		sys := sc.System()
-		o.Collector.Record(bench.Result{Name: "fig4/" + sc.Name(), SimNS: ns})
-		t.AddRow(sc.Name(), sys.String(),
-			fmt.Sprintf("%.2f", float64(ns)/1e6),
-			normalize(ns, base[sys]), paperRef[sc.Name()])
-	}
-	t.AddNote("checkpoint/PMEM act once per CG iteration (same recomputation bound as algo)")
-	return t, nil
 }
 
 // RunCGCacheAblation sweeps the LLC size for a fixed class and reports
@@ -182,31 +121,18 @@ func RunCGCacheAblation(ctx context.Context, o Options) (*Table, error) {
 	cl, _ := sparse.ClassByName("A")
 	n := o.scaleInt(cl.N, 1000)
 	a := sparse.GenSPD(n, cl.NnzRow, 88)
-	crashIter := 15
 	llcs := []int{256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20}
 	label := func(i int) string { return fmt.Sprintf("llc-%dKB", llcs[i]>>10) }
-	rows, err := runCases(ctx, o, "cg-cache", label, len(llcs), func(i int) ([]any, error) {
-		llc := llcs[i]
-		m := newMachine(crash.NVMOnly, llc, 16)
-		em := crash.NewEmulator(m)
-		cg := core.NewCG(m, em, a, core.CGOptions{MaxIter: crashIter})
-		em.CrashAtTrigger(core.TriggerCGIterEnd, crashIter)
-		if !em.Run(func() { cg.Run(1) }) {
-			return nil, fmt.Errorf("cg-cache: no crash at llc=%d", llc)
+	err := runRows(ctx, o, t, label, len(llcs), func(i int) ([]any, error) {
+		ct, lost, avg, err := cgCrashTest(newMachine(crash.NVMOnly, llcs[i], 16), a)
+		if err != nil {
+			return nil, fmt.Errorf("cg-cache: llc=%d: %w", llcs[i], err)
 		}
-		avg := core.AvgIterNS(cg.IterNS)
-		rec := cg.Recover()
-		resumeStart := m.Clock.Now()
-		cg.Run(rec.RestartIter)
-		resume := m.Clock.Since(resumeStart)
-		return []any{fmt.Sprintf("%dKB", llc>>10), rec.IterationsLost,
-			normalize(rec.DetectNS, avg), normalize(rec.DetectNS+resume, avg)}, nil
+		return []any{fmt.Sprintf("%dKB", llcs[i]>>10), lost,
+			normalize(ct.recoverNS, avg), normalize(ct.recoverNS+ct.resumeNS, avg)}, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, r := range rows {
-		t.AddRow(r...)
 	}
 	t.AddNote("larger caches retain more dirty history rows, increasing loss — the inverse of Figure 3's input-size effect")
 	return t, nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"adcc/internal/bench"
 	"adcc/internal/core"
 	"adcc/internal/crash"
 	"adcc/internal/engine"
@@ -43,16 +42,13 @@ func RunFig7(ctx context.Context, o Options) (*Table, error) {
 		}
 	}
 	label := func(i int) string { return fmt.Sprintf("n=%d/loop%d", cases[i].n, cases[i].loop) }
-	rows, err := runCases(ctx, o, "fig7", label, len(cases), func(i int) ([]any, error) {
+	err := runRows(ctx, o, t, label, len(cases), func(i int) ([]any, error) {
 		c := cases[i]
 		o.logf("fig7: n=%d crash in loop %d", c.n, c.loop)
 		return fig7One(c.n, k, c.loop)
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, r := range rows {
-		t.AddRow(r...)
 	}
 	t.AddNote("rank k=%d (paper: 400, same n/k ratio); crash at end of 4th iteration of each loop", k)
 	t.AddNote("paper: smallest size loses ~2 submatrix multiplications, larger sizes lose 1; additions always lose 1")
@@ -63,65 +59,42 @@ func fig7One(n, k, loop int) ([]any, error) {
 	m := newMachine(crash.Hetero, mmLLCBytes, 16)
 	em := crash.NewEmulator(m)
 	mm := core.NewMM(m, em, core.MMOptions{N: n, K: k, Seed: int64(n + loop)})
-	trigger := core.TriggerMMLoop1IterEnd
+	trigger, loopName := core.TriggerMMLoop1IterEnd, "loop1 (submat mult)"
 	if loop == 2 {
-		trigger = core.TriggerMMLoop2IterEnd
+		trigger, loopName = core.TriggerMMLoop2IterEnd, "loop2 (submat add)"
 	}
 	em.CrashAtTrigger(trigger, 4)
 	if !em.Run(mm.Run) {
 		return nil, fmt.Errorf("fig7: n=%d loop=%d did not crash", n, loop)
 	}
 
-	var rec core.MMRecovery
-	var avg int64
-	var unitsLost int
-	var resume int64
-	if loop == 1 {
-		rec = mm.RecoverLoop1()
-		avg = avgPositive(mm.PanelNS[:4])
-		// Units lost = completed panels (the first 4) that must be
-		// recomputed.
-		for s := 0; s < 4; s++ {
-			if rec.Status[s] == core.BlockZero || rec.Status[s] == core.BlockRecompute {
-				unitsLost++
-			}
-		}
-		resumeStart := m.Clock.Now()
-		// Resume only the lost completed panels for the recomputation
-		// metric; the remaining panels are fresh work, not recovery.
-		lost := core.MMRecovery{Status: make([]core.BlockStatus, len(rec.Status))}
-		for s := 0; s < 4; s++ {
-			lost.Status[s] = rec.Status[s]
-		}
-		mm.ResumeLoop1(lost)
-		resume = m.Clock.Since(resumeStart)
-	} else {
+	// The crashed loop's repair plan, the times of its units (panels of
+	// loop 1, blocks of loop 2) and what completes a plan.
+	rec, unitNS, resume := mm.RecoverLoop1(), mm.PanelNS, mm.ResumeLoop1
+	if loop == 2 {
 		// Loop 1 completed before the loop-2 crash; repair it first
 		// (not charged to the loop-2 recomputation metric).
-		rec1 := mm.RecoverLoop1()
-		mm.ResumeLoop1(rec1)
-		rec = mm.RecoverLoop2()
-		avg = avgPositive(mm.BlockNS[:4])
-		for b := 0; b < 4; b++ {
-			if rec.Status[b] == core.BlockZero || rec.Status[b] == core.BlockRecompute {
-				unitsLost++
-			}
-		}
-		resumeStart := m.Clock.Now()
-		lost := core.MMRecovery{Status: make([]core.BlockStatus, len(rec.Status))}
-		for b := 0; b < 4; b++ {
-			lost.Status[b] = rec.Status[b]
-		}
-		mm.ResumeLoop2(lost)
-		resume = m.Clock.Since(resumeStart)
+		mm.ResumeLoop1(rec)
+		rec, unitNS, resume = mm.RecoverLoop2(), mm.BlockNS, mm.ResumeLoop2
 	}
-	loopName := "loop1 (submat mult)"
-	if loop == 2 {
-		loopName = "loop2 (submat add)"
+	avg := avgPositive(unitNS[:4])
+	// Units lost = completed units (the first 4) that must be
+	// recomputed. Only those are resumed for the recomputation metric;
+	// the remaining units are fresh work, not recovery.
+	lost := core.MMRecovery{Status: make([]core.BlockStatus, len(rec.Status))}
+	unitsLost := 0
+	for u := 0; u < 4; u++ {
+		lost.Status[u] = rec.Status[u]
+		if rec.Status[u] == core.BlockZero || rec.Status[u] == core.BlockRecompute {
+			unitsLost++
+		}
 	}
+	start := m.Clock.Now()
+	resume(lost)
+	resumeNS := m.Clock.Since(start)
 	return []any{n, loopName, unitsLost,
-		normalize(rec.DetectNS, avg), normalize(resume, avg),
-		normalize(rec.DetectNS+resume, avg)}, nil
+		normalize(rec.DetectNS, avg), normalize(resumeNS, avg),
+		normalize(rec.DetectNS+resumeNS, avg)}, nil
 }
 
 // avgPositive is core.AvgPositiveNS with a floor of 1, so it can serve
@@ -133,100 +106,38 @@ func avgPositive(v []int64) int64 {
 	return 1
 }
 
-// mmCase runs one scheme of the seven-case comparison for the
-// multiplication and returns total simulated runtime.
-func mmCase(sc engine.Scheme, opts core.MMOptions) int64 {
-	m := newMachine(sc.System(), mmLLCBytes, 16)
-	var start int64
-	if sc.Kind() == engine.KindAlgo {
-		mm := core.NewMM(m, nil, opts)
-		start = m.Clock.Now()
-		mm.Run()
-	} else {
-		bm := core.NewBaselineMM(m, opts, sc)
-		start = m.Clock.Now()
-		bm.Run()
-	}
-	return m.Clock.Now() - start
-}
-
 // RunFig8 reproduces Figure 8 (a,b,c): runtime of ABFT matrix
 // multiplication under the seven mechanisms for three rank sizes,
 // normalized to native execution on the same system. Checkpoint and
 // PMEM act once per submatrix multiplication.
 func RunFig8(ctx context.Context, o Options) (*Table, error) {
-	t := &Table{
-		Name:  "fig8",
-		Title: "ABFT-MM runtime, seven mechanisms x rank (normalized to native)",
-		Headers: []string{
-			"Rank", "Case", "System", "Time(ms)", "Normalized",
-		},
-	}
-	n := o.scaleInt(640, 160)
+	// Every rank must divide n, so n is kept a multiple of 40.
+	n := o.scaleInt(640, 160) / 40 * 40
 	// Ranks scaled from the paper's 200/400/1000 by the same factor
 	// as n (8000 -> 640).
 	ranks := []int{n / 40, n / 20, n / 8}
-	o.logf("fig8: n=%d ranks=%v", n, ranks)
-
-	// Native baselines per rank and system, the normalization
-	// denominators.
-	kinds := []crash.SystemKind{crash.NVMOnly, crash.Hetero}
-	baseLabel := func(i int) string {
-		return fmt.Sprintf("native/k=%d@%s", ranks[i/len(kinds)], kinds[i%len(kinds)])
-	}
-	baseTimes, err := runCases(ctx, o, "fig8/base", baseLabel, len(ranks)*len(kinds), func(i int) (int64, error) {
-		k := ranks[i/len(kinds)]
-		kind := kinds[i%len(kinds)]
+	variants := make([]runtimeVariant, len(ranks))
+	for i, k := range ranks {
 		opts := core.MMOptions{N: n, K: k, Seed: int64(k)}
-		m := newMachine(kind, mmLLCBytes, 16)
-		bm := core.NewBaselineMM(m, opts, nil)
-		start := m.Clock.Now()
-		bm.Run()
-		return m.Clock.Since(start), nil
+		variants[i] = runtimeVariant{
+			label: fmt.Sprintf("k=%d", k),
+			lead:  []any{k},
+			new:   func(sc engine.Scheme) engine.Workload { return core.NewMMWorkload(opts, sc, nil) },
+		}
+	}
+	return runRuntimeTable(ctx, o, runtimeTable{
+		name:        "fig8",
+		title:       "ABFT-MM runtime, seven mechanisms x rank (normalized to native)",
+		shape:       fmt.Sprintf("n=%d ranks=%v", n, ranks),
+		machine:     func(kind crash.SystemKind) *crash.Machine { return newMachine(kind, mmLLCBytes, 16) },
+		cases:       engine.SevenCases(),
+		variants:    variants,
+		leadHeaders: []string{"Rank"},
+		notes: []string{
+			"paper: algo <= 1.082 at rank 200, 1.013 at rank 1000; ckpt-NVM/DRAM >= 1.218 at rank 200",
+			"ranks scaled with n from the paper's 200/400/1000 at n=8000",
+		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	base := make([]map[crash.SystemKind]int64, len(ranks))
-	for ri := range ranks {
-		base[ri] = map[crash.SystemKind]int64{}
-		for ki, kind := range kinds {
-			base[ri][kind] = baseTimes[ri*len(kinds)+ki]
-		}
-	}
-
-	cases := sevenCases()
-	caseLabel := func(i int) string {
-		return fmt.Sprintf("k=%d/%s", ranks[i/len(cases)], cases[i%len(cases)].Name())
-	}
-	times, err := runCases(ctx, o, "fig8", caseLabel, len(ranks)*len(cases), func(i int) (int64, error) {
-		ri, ci := i/len(cases), i%len(cases)
-		k, sc := ranks[ri], cases[ci]
-		o.logf("fig8: k=%d case %s", k, sc.Name())
-		if sc.Name() == caseNative {
-			return base[ri][crash.NVMOnly], nil
-		}
-		return mmCase(sc, core.MMOptions{N: n, K: k, Seed: int64(k)}), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for ri, k := range ranks {
-		for ci, sc := range cases {
-			ns := times[ri*len(cases)+ci]
-			sys := sc.System()
-			o.Collector.Record(bench.Result{
-				Name:  fmt.Sprintf("fig8/k=%d/%s", k, sc.Name()),
-				SimNS: ns,
-			})
-			t.AddRow(k, sc.Name(), sys.String(),
-				fmt.Sprintf("%.2f", float64(ns)/1e6),
-				normalize(ns, base[ri][sys]))
-		}
-	}
-	t.AddNote("paper: algo <= 1.082 at rank 200, 1.013 at rank 1000; ckpt-NVM/DRAM >= 1.218 at rank 200")
-	t.AddNote("ranks scaled with n from the paper's 200/400/1000 at n=8000")
-	return t, nil
 }
 
 // RunMMKAblation quantifies the memory-vs-recomputation tradeoff of the
@@ -248,7 +159,7 @@ func RunMMKAblation(ctx context.Context, o Options) (*Table, error) {
 		}
 	}
 	label := func(i int) string { return fmt.Sprintf("k=%d", ks[i]) }
-	rows, err := runCases(ctx, o, "mm-k", label, len(ks), func(i int) ([]any, error) {
+	err := runRows(ctx, o, t, label, len(ks), func(i int) ([]any, error) {
 		k := ks[i]
 		opts := core.MMOptions{N: (n / k) * k, K: k, Seed: 9}
 		m := newMachine(crash.NVMOnly, mmLLCBytes, 16)
@@ -264,9 +175,6 @@ func RunMMKAblation(ctx context.Context, o Options) (*Table, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, r := range rows {
-		t.AddRow(r...)
 	}
 	t.AddNote("smaller k: more temporal matrices (memory) and more frequent flushes; larger k: bigger recompute unit")
 	return t, nil

@@ -79,13 +79,13 @@ func TestFig3SmallScale(t *testing.T) {
 	}
 }
 
+// The row count, native normalization and collector names of the runtime
+// figures are TestRuntimeShape's; the per-figure tests keep what is
+// specific to each.
 func TestFig4SmallScale(t *testing.T) {
 	tab, err := RunFig4(context.Background(), smallOpts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(tab.Rows) != 7 {
-		t.Fatalf("fig4 rows = %d, want 7 cases", len(tab.Rows))
 	}
 	get := func(label string) float64 {
 		for _, r := range tab.Rows {
@@ -95,9 +95,6 @@ func TestFig4SmallScale(t *testing.T) {
 		}
 		t.Fatalf("case %s missing", label)
 		return 0
-	}
-	if get(caseNative) != 1.0 {
-		t.Fatal("native must normalize to 1.0")
 	}
 	if get(casePMEM) < get(caseCkptNVM) {
 		t.Fatal("PMEM should exceed NVM checkpoint")
@@ -131,8 +128,16 @@ func TestFig8SmallScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 21 {
-		t.Fatalf("fig8 rows = %d, want 3 ranks x 7 cases", len(tab.Rows))
+	// The lead cell is the variant's rank: three distinct ones, each
+	// heading a contiguous block of rows.
+	var ranks []string
+	for _, r := range tab.Rows {
+		if len(ranks) == 0 || ranks[len(ranks)-1] != r[0] {
+			ranks = append(ranks, r[0])
+		}
+	}
+	if len(ranks) != 3 || ranks[0] == ranks[2] {
+		t.Fatalf("fig8 rank blocks = %v, want three ranks", ranks)
 	}
 }
 
@@ -169,9 +174,6 @@ func TestFig13SmallScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 7 {
-		t.Fatalf("fig13 rows = %d", len(tab.Rows))
-	}
 	// At CI scale the grids fit in the LLC, so lookups are unrealistically
 	// cheap relative to the fixed flush cost; the bound here is loose.
 	// The paper-scale bound (<1% overhead) is asserted by the full run
@@ -185,10 +187,10 @@ func TestFig13SmallScale(t *testing.T) {
 	}
 }
 
-// TestStencilSmallScale runs the family driver over both extension
-// families (the name predates the kvlog half): seven cases plus the two
-// rejected variants each, normalized to native, with a verified crash
-// test recorded on the collector.
+// TestStencilSmallScale runs both extension families (the name predates
+// the kvlog half): the family's extra columns, the ordering of the
+// mechanisms' costs, and a verified crash test recorded on the
+// collector.
 func TestStencilSmallScale(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -208,9 +210,6 @@ func TestStencilSmallScale(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(tab.Rows) != 9 {
-				t.Fatalf("%s rows = %d, want 7 cases + 2 rejected variants", tc.name, len(tab.Rows))
-			}
 			get := func(label string) float64 {
 				for _, r := range tab.Rows {
 					if r[0] == label {
@@ -222,9 +221,6 @@ func TestStencilSmallScale(t *testing.T) {
 				}
 				t.Fatalf("case %s missing", label)
 				return 0
-			}
-			if get(caseNative) != 1.0 {
-				t.Fatal("native must normalize to 1.0")
 			}
 			if get(casePMEM) < get(caseCkptNVM) {
 				t.Fatal("PMEM should exceed NVM checkpoint")
@@ -249,9 +245,6 @@ func TestStencilSmallScale(t *testing.T) {
 			}
 			if rec == nil || rec.RecoveryNS <= 0 || rec.SimNS < rec.RecoveryNS {
 				t.Fatalf("%s/recovery not recorded on the collector: %+v", tc.name, rec)
-			}
-			if len(results) != 10 {
-				t.Fatalf("collector holds %d results, want 9 cases + recovery", len(results))
 			}
 		})
 	}

@@ -21,3 +21,14 @@ func runCases[T any](ctx context.Context, o Options, exp string, label func(i in
 	return engine.RunCasesObserved(ctx, o.Parallel, n, run,
 		engine.EmitCases[T](o.Events, exp, n, label))
 }
+
+// runRows is runCases for the experiments whose every case yields one row
+// of t: the rows are appended in case order, under t's name as the
+// experiment.
+func runRows(ctx context.Context, o Options, t *Table, label func(i int) string, n int, run func(i int) ([]any, error)) error {
+	rows, err := runCases(ctx, o, t.Name, label, n, run)
+	for _, r := range rows {
+		t.AddRow(r...)
+	}
+	return err
+}

@@ -183,11 +183,7 @@ func (o Options) scale() float64 {
 
 // scaleInt applies the scale factor with a floor.
 func (o Options) scaleInt(v, floor int) int {
-	s := int(float64(v) * o.scale())
-	if s < floor {
-		return floor
-	}
-	return s
+	return max(int(float64(v)*o.scale()), floor)
 }
 
 func (o Options) logf(format string, args ...any) {
