@@ -20,11 +20,11 @@
 //	adccbench -experiment campaign -scale 0.1 -parallel 4 -json campaign.json
 //	adccbench -experiment campaign -scale 0.1 -fault failstop,torn,eadr,reorder,bitflip
 //
-// The -bench mode runs the kernel micro-benchmarks (wall-clock ns/op and
-// allocs/op plus deterministic simulated metrics), the timed harness
-// experiments, and a fixed fault sub-grid (a reduced campaign swept
-// under the torn/eadr/reorder/bitflip crash models), and emits the JSON
-// suite wrapped in the adcc-report/v1 envelope for cmd/benchdiff.
+// The -bench mode runs the kernel probes, the timed harness experiments,
+// and a fixed fault sub-grid (a reduced campaign swept under the
+// torn/eadr/reorder/bitflip crash models), and emits the JSON suite —
+// deterministic simulated metrics only — wrapped in the adcc-report/v1
+// envelope for cmd/benchdiff.
 // Unless -scale is given explicitly, -bench runs the experiments at the
 // default bench scale (0.05), matching the root bench_test defaults.
 //
@@ -174,7 +174,7 @@ func main() {
 	}
 }
 
-// runBench executes the kernel micro-benchmarks and the timed harness
+// runBench executes the kernel probes and the timed harness
 // experiments, assembles a bench suite, and writes its adcc-report/v1
 // envelope to jsonPath (stdout when empty). With storePath, the main
 // campaign experiment also writes its raw rows to a result store (the

@@ -9,37 +9,31 @@
 //
 //	benchdiff [flags] BASELINE.json CANDIDATE.json
 //
-//	-wall-threshold F   allowed fractional growth of wall-clock metrics
-//	                    (ns/op, allocs/op, B/op) before flagging; host
-//	                    wall numbers vary across machines, so keep this
-//	                    generous (default 0.25). An explicit 0 demands
-//	                    exact equality.
-//	-sim-threshold F    allowed fractional growth of deterministic
-//	                    simulated metrics (sim_ns, sim_flushes,
-//	                    recovery_sim_ns); these are host-independent, so
-//	                    the default is tight (default 0.02). An explicit
-//	                    0 demands exact equality.
-//	-wall-advisory      report wall-clock regressions but never fail on
-//	                    them; only simulated-metric drift and missing
-//	                    benchmarks affect the exit code. Use when the
-//	                    baseline was recorded on different hardware
-//	                    (CI enforcing on main).
-//	-report-only        print the comparison but always exit 0 (used on
-//	                    pull requests, where the report is advisory)
+//	-sim-threshold F    allowed fractional growth of a metric (sim_ns,
+//	                    sim_flushes, recovery_sim_ns, failures) before
+//	                    flagging; every metric is deterministic and
+//	                    host-independent, so the default is tight
+//	                    (default 0.02). An explicit 0 demands exact
+//	                    equality.
 //	-all                print every metric comparison, not only the
 //	                    regressions and improvements
 //
 // A benchmark present in the baseline but missing from the candidate is
 // a regression (a perf guarantee disappeared); benchmarks only in the
-// candidate are reported as added.
+// candidate are reported as added. Every regression fails the run:
+// the suite holds no host wall-clock number (those are measured by
+// benchmark/), so there is nothing advisory in it. Two suites recorded
+// at different scales have no valid comparison and are refused.
 //
-// Exit codes: 0 no regression (or -report-only), 1 regression found,
-// 2 usage or file errors.
+// Exit codes: 0 no regression, 1 regression found, 2 usage or file
+// errors (including a scale mismatch).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"adcc/pkg/adcc"
@@ -78,53 +72,49 @@ func readSuite(path string) (adcc.Suite, error) {
 	return suite, nil
 }
 
-func main() {
-	var (
-		wallThr      = flag.Float64("wall-threshold", 0.25, "allowed fractional growth of wall-clock metrics (0 = exact)")
-		simThr       = flag.Float64("sim-threshold", 0.02, "allowed fractional growth of simulated metrics (0 = exact)")
-		wallAdvisory = flag.Bool("wall-advisory", false, "report wall-clock regressions without failing on them")
-		reportOnly   = flag.Bool("report-only", false, "report without failing on regressions")
-		verbose      = flag.Bool("all", false, "print every comparison, not only regressions/improvements")
-	)
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [flags] BASELINE.json CANDIDATE.json")
-		flag.PrintDefaults()
-		os.Exit(2)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	base, err := readSuite(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
-	}
-	cand, err := readSuite(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
-	}
-
-	if base.Scale != cand.Scale {
-		fmt.Fprintf(os.Stderr,
-			"benchdiff: warning: comparing suites recorded at different scales (%g vs %g); harness sim metrics are not comparable across scales\n",
-			base.Scale, cand.Scale)
-	}
-
-	rep := adcc.DiffSuites(base, cand, adcc.DiffOptions{
-		WallThreshold: *wallThr,
-		SimThreshold:  *simThr,
-	})
-	fmt.Printf("benchdiff: %s (baseline) vs %s (candidate)\n", flag.Arg(0), flag.Arg(1))
-	rep.Format(os.Stdout, *verbose)
-
-	if rep.HasBlockingRegression(*wallAdvisory) {
-		if *reportOnly {
-			fmt.Println("benchdiff: regressions found (report-only mode, not failing)")
-			return
+// run is the whole command over explicit arguments and streams, so the
+// tests drive the exit codes directly; it returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	simThr := fs.Float64("sim-threshold", 0.02, "allowed fractional growth of simulated metrics (0 = exact)")
+	verbose := fs.Bool("all", false, "print every comparison, not only regressions/improvements")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		os.Exit(1)
+		return 2
 	}
-	if *wallAdvisory && rep.HasRegression() {
-		fmt.Println("benchdiff: wall-clock regressions reported above are advisory (-wall-advisory)")
+	if fs.NArg() != 2 {
+		fmt.Fprintln(stderr, "usage: benchdiff [flags] BASELINE.json CANDIDATE.json")
+		fs.PrintDefaults()
+		return 2
 	}
+
+	base, err := readSuite(fs.Arg(0))
+	if err != nil {
+		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
+		return 2
+	}
+	cand, err := readSuite(fs.Arg(1))
+	if err != nil {
+		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
+		return 2
+	}
+	if base.Scale != cand.Scale {
+		fmt.Fprintf(stderr,
+			"benchdiff: comparing suites recorded at different scales (%g vs %g); harness sim metrics are not comparable across scales\n",
+			base.Scale, cand.Scale)
+		return 2
+	}
+
+	rep := adcc.DiffSuites(base, cand, adcc.DiffOptions{SimThreshold: *simThr})
+	fmt.Fprintf(stdout, "benchdiff: %s (baseline) vs %s (candidate)\n", fs.Arg(0), fs.Arg(1))
+	rep.Format(stdout, *verbose)
+	if rep.HasRegression() {
+		return 1
+	}
+	return 0
 }

@@ -1,19 +1,16 @@
 // Package bench is the machine-readable benchmark model behind the
 // repo's perf pipeline: a Result/Suite data model with a stable JSON
 // encoding, a concurrency-safe Collector that the harness experiment
-// drivers feed per-case simulated timings into, the kernel
-// micro-benchmark suite run by `adccbench -bench`, and the comparison
-// logic behind cmd/benchdiff.
+// drivers feed per-case simulated timings into, the kernel probes run
+// by `adccbench -bench`, and the comparison logic behind cmd/benchdiff.
 //
-// Two kinds of metrics coexist in one Result:
-//
-//   - host wall-clock metrics (ns/op, allocs/op) measured with
-//     testing.Benchmark — they vary across machines and are compared
-//     with a generous threshold;
-//   - simulated metrics (sim_ns, sim_flushes, recovery_sim_ns) read off
-//     the deterministic simulation clock — identical across hosts for
-//     the same code and scale, so even small drift is a meaningful
-//     semantic change and is gated tightly.
+// Every metric of a Result (sim_ns, sim_flushes, recovery_sim_ns,
+// injections, failures) is read off the deterministic simulation — a
+// pure function of code, scale and seed, identical across hosts — so
+// even small drift is a meaningful semantic change and is gated
+// tightly. Host wall time has no place here: it is measured, with
+// repeats and a spread, by benchmark/ and recorded in
+// BENCH_history.ndjson.
 package bench
 
 import (
@@ -30,20 +27,15 @@ import (
 const SchemaVersion = "adcc-bench/v1"
 
 // Result is one named measurement. Zero-valued fields are omitted from
-// the JSON encoding, so kernel results (wall + sim) and harness case
-// results (sim only) share one shape.
+// the JSON encoding, so kernel probes, harness cases and campaign cells
+// share one shape. Files written before the host wall-clock keys
+// (iterations, ns_per_op, allocs_per_op, bytes_per_op,
+// wall_ns_per_injection) were retired still decode: the decoder ignores
+// them.
 type Result struct {
 	// Name identifies the measured unit, e.g. "cache/flush" for a
-	// kernel micro-benchmark or "fig4/algo-nvm" for a harness case.
+	// kernel probe or "fig4/algo-nvm" for a harness case.
 	Name string `json:"name"`
-	// Iterations is the iteration count the wall-clock runner settled on.
-	Iterations int `json:"iterations,omitempty"`
-	// NsPerOp is host wall-clock nanoseconds per operation.
-	NsPerOp float64 `json:"ns_per_op,omitempty"`
-	// AllocsPerOp and BytesPerOp are the heap-allocation costs per
-	// operation from the benchmark runner's -benchmem accounting.
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	// SimNS is the deterministic simulated-clock duration of the
 	// measured unit (one harness case, or a kernel's fixed probe loop).
 	SimNS int64 `json:"sim_ns,omitempty"`
@@ -60,10 +52,6 @@ type Result struct {
 	// metric, so a recovery-rate regression fails benchdiff.
 	Injections int64 `json:"injections,omitempty"`
 	Failures   int64 `json:"failures,omitempty"`
-	// WallNSPerInjection is the host wall-clock cost of one injection of
-	// a campaign cell. Like ns/op it is a wall metric — machine-varying,
-	// compared generously and advisory on PRs.
-	WallNSPerInjection float64 `json:"wall_ns_per_injection,omitempty"`
 }
 
 // Suite is a full benchmark run: schema tag, the harness scale it ran

@@ -14,10 +14,9 @@ import (
 func sampleSuite() Suite {
 	return NewSuite(0.05, []Result{
 		{Name: "fig4/native", SimNS: 12155604},
-		{Name: "cache/flush", Iterations: 1000, NsPerOp: 48.5, AllocsPerOp: 0,
-			SimNS: 371200, SimFlushes: 4096},
+		{Name: "cache/flush", SimNS: 371200, SimFlushes: 4096},
 		{Name: "fig3/class-S", SimNS: 349947, RecoveryNS: 72300},
-		{Name: "sparse/spmv", Iterations: 144, NsPerOp: 8414754.0625, SimNS: 1585656},
+		{Name: "sparse/spmv", SimNS: 1585656},
 	})
 }
 
@@ -76,6 +75,31 @@ func TestReadFileRejectsSchema(t *testing.T) {
 	}
 	if _, err := ReadFile(path); err == nil {
 		t.Fatal("expected schema error, got nil")
+	}
+}
+
+// TestReadFileIgnoresRetiredWallKeys: a suite written before the five
+// host wall-clock keys were retired still reads, and diffs clean against
+// the same rows without them.
+func TestReadFileIgnoresRetiredWallKeys(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := `{"schema":"adcc-bench/v1","scale":0.05,"results":[
+		{"name":"cache/flush","iterations":1000,"ns_per_op":48.5,"allocs_per_op":1,"bytes_per_op":64,"sim_ns":371200,"sim_flushes":4096},
+		{"name":"campaign/mc/native@NVM-only","sim_ns":30,"injections":8,"failures":2,"wall_ns_per_injection":1429467.375}]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	want := NewSuite(0.05, []Result{
+		{Name: "cache/flush", SimNS: 371200, SimFlushes: 4096},
+		{Name: "campaign/mc/native@NVM-only", SimNS: 30, Injections: 8, Failures: 2},
+	})
+	rep := Diff(got, want, DiffOptions{SimThreshold: 0})
+	if rep.HasRegression() || len(rep.Added) != 0 || len(rep.Deltas) != 4 {
+		t.Errorf("old-format suite does not diff clean: %+v", rep)
 	}
 }
 
@@ -148,73 +172,44 @@ func TestCollectorDeterministicUnderParallel(t *testing.T) {
 }
 
 func diffOf(base, cand Suite) Report {
-	return Diff(base, cand, DiffOptions{WallThreshold: 0.25, SimThreshold: 0.02})
+	return Diff(base, cand, DiffOptions{SimThreshold: 0.02})
 }
 
 func TestDiffNoRegression(t *testing.T) {
-	base := NewSuite(1, []Result{{Name: "k", Iterations: 1, NsPerOp: 100, SimNS: 1000}})
-	cand := NewSuite(1, []Result{{Name: "k", Iterations: 1, NsPerOp: 110, SimNS: 1000}})
+	base := NewSuite(1, []Result{{Name: "k", SimNS: 1000, SimFlushes: 100}})
+	cand := NewSuite(1, []Result{{Name: "k", SimNS: 1010, SimFlushes: 100}})
 	rep := diffOf(base, cand)
 	if rep.HasRegression() {
-		t.Errorf("10%% wall growth under a 25%% threshold flagged: %+v", rep)
+		t.Errorf("1%% simulated-time growth under a 2%% threshold flagged: %+v", rep)
 	}
 }
 
-func TestDiffWallRegression(t *testing.T) {
-	base := NewSuite(1, []Result{{Name: "k", Iterations: 1, NsPerOp: 100}})
-	cand := NewSuite(1, []Result{{Name: "k", Iterations: 1, NsPerOp: 130}})
-	rep := diffOf(base, cand)
-	if !rep.HasRegression() {
-		t.Error("30% wall growth under a 25% threshold not flagged")
-	}
-	if rep.HasBlockingRegression(true) {
-		t.Error("wall-advisory mode still blocked on a wall-only regression")
-	}
-	if !rep.HasBlockingRegression(false) {
-		t.Error("strict mode did not block on a wall regression")
-	}
-}
-
-// TestDiffMeasuredZeroAllocs: a kernel whose allocs/op goes from a
-// measured 0 to N is a regression (zero is a real value when the
-// wall-clock runner executed), and N to 0 is an improvement.
-func TestDiffMeasuredZeroAllocs(t *testing.T) {
-	base := NewSuite(1, []Result{{Name: "k", Iterations: 1, NsPerOp: 100, AllocsPerOp: 0}})
-	cand := NewSuite(1, []Result{{Name: "k", Iterations: 1, NsPerOp: 100, AllocsPerOp: 500}})
-	rep := diffOf(base, cand)
-	if !rep.HasRegression() {
-		t.Error("allocs/op 0 -> 500 not flagged as a regression")
-	}
-	back := diffOf(cand, base)
-	if back.HasRegression() {
-		t.Errorf("allocs/op 500 -> 0 flagged as a regression: %+v", back)
-	}
-}
-
-// TestDiffSimRegressionBlocksEvenWallAdvisory: sim drift must block
-// regardless of the wall-advisory setting.
-func TestDiffSimRegressionBlocksEvenWallAdvisory(t *testing.T) {
+// TestDiffMeasuredZeroSimFlushes: a probe whose sim_flushes goes from a
+// measured 0 to N is a regression (zero is a real value when the probe
+// ran), and N to 0 is an improvement.
+func TestDiffMeasuredZeroSimFlushes(t *testing.T) {
 	base := NewSuite(1, []Result{{Name: "k", SimNS: 1000, SimFlushes: 0}})
 	cand := NewSuite(1, []Result{{Name: "k", SimNS: 1000, SimFlushes: 64}})
-	rep := diffOf(base, cand)
-	if !rep.HasBlockingRegression(true) {
-		t.Error("sim_flushes appearing from a measured 0 did not block in wall-advisory mode")
+	if !diffOf(base, cand).HasRegression() {
+		t.Error("sim_flushes 0 -> 64 not flagged as a regression")
+	}
+	if back := diffOf(cand, base); back.HasRegression() {
+		t.Errorf("sim_flushes 64 -> 0 flagged as a regression: %+v", back)
 	}
 }
 
 // TestDiffLostMetricIsRegression: a metric family the baseline
-// guaranteed (here the sim probe) disappearing from a surviving
-// benchmark name is flagged like a missing benchmark, and blocks even
-// in wall-advisory mode.
+// guaranteed (here the recovery time) disappearing from a surviving
+// benchmark name is flagged like a missing benchmark.
 func TestDiffLostMetricIsRegression(t *testing.T) {
-	base := NewSuite(1, []Result{{Name: "k", Iterations: 1, NsPerOp: 100, SimNS: 1000}})
-	cand := NewSuite(1, []Result{{Name: "k", Iterations: 1, NsPerOp: 100}})
+	base := NewSuite(1, []Result{{Name: "k", SimNS: 1000, RecoveryNS: 100}})
+	cand := NewSuite(1, []Result{{Name: "k", SimNS: 1000}})
 	rep := diffOf(base, cand)
-	if !rep.HasRegression() || !rep.HasBlockingRegression(true) {
-		t.Errorf("dropped sim probe not flagged: %+v", rep)
+	if !rep.HasRegression() {
+		t.Errorf("dropped recovery metric not flagged: %+v", rep)
 	}
-	if len(rep.Missing) == 0 {
-		t.Error("lost sim metrics not reported in Missing")
+	if len(rep.Missing) != 1 || rep.Missing[0] != "k [recovery_sim_ns]" {
+		t.Errorf("Missing = %v, want [k [recovery_sim_ns]]", rep.Missing)
 	}
 }
 
@@ -223,7 +218,7 @@ func TestDiffLostMetricIsRegression(t *testing.T) {
 func TestDiffZeroThresholdIsExact(t *testing.T) {
 	base := NewSuite(1, []Result{{Name: "k", SimNS: 1000}})
 	cand := NewSuite(1, []Result{{Name: "k", SimNS: 1001}})
-	rep := Diff(base, cand, DiffOptions{WallThreshold: 0.25, SimThreshold: 0})
+	rep := Diff(base, cand, DiffOptions{SimThreshold: 0})
 	if !rep.HasRegression() {
 		t.Error("0.1% sim drift under an explicit zero threshold not flagged")
 	}
@@ -239,15 +234,15 @@ func TestDiffSimRegressionIsTight(t *testing.T) {
 }
 
 func TestDiffImprovementIsNotRegression(t *testing.T) {
-	base := NewSuite(1, []Result{{Name: "k", Iterations: 1, NsPerOp: 100, SimNS: 1000}})
-	cand := NewSuite(1, []Result{{Name: "k", Iterations: 1, NsPerOp: 40, SimNS: 1000}})
+	base := NewSuite(1, []Result{{Name: "k", SimNS: 1000, SimFlushes: 100}})
+	cand := NewSuite(1, []Result{{Name: "k", SimNS: 400, SimFlushes: 100}})
 	rep := diffOf(base, cand)
 	if rep.HasRegression() {
 		t.Errorf("improvement flagged as regression: %+v", rep)
 	}
 	improved := false
 	for _, d := range rep.Deltas {
-		if d.Metric == "ns/op" && d.Improved {
+		if d.Metric == "sim_ns" && d.Improved {
 			improved = true
 		}
 	}
@@ -257,8 +252,8 @@ func TestDiffImprovementIsNotRegression(t *testing.T) {
 }
 
 func TestDiffMissingBenchmarkIsRegression(t *testing.T) {
-	base := NewSuite(1, []Result{{Name: "gone", Iterations: 1, NsPerOp: 100}, {Name: "kept", Iterations: 1, NsPerOp: 100}})
-	cand := NewSuite(1, []Result{{Name: "kept", Iterations: 1, NsPerOp: 100}, {Name: "new", Iterations: 1, NsPerOp: 5}})
+	base := NewSuite(1, []Result{{Name: "gone", SimNS: 100}, {Name: "kept", SimNS: 100}})
+	cand := NewSuite(1, []Result{{Name: "kept", SimNS: 100}, {Name: "new", SimNS: 5}})
 	rep := diffOf(base, cand)
 	if !rep.HasRegression() {
 		t.Error("missing benchmark not treated as a regression")
@@ -271,16 +266,16 @@ func TestDiffMissingBenchmarkIsRegression(t *testing.T) {
 	}
 }
 
-// TestDiffSkipsUnmeasuredMetrics: a metric absent (zero) on either side
-// is not compared, so sim-only harness results diff cleanly against
-// each other.
+// TestDiffSkipsUnmeasuredMetrics: a metric the baseline never measured
+// is not compared, so a harness case that gains a recovery time diffs
+// cleanly against its older self.
 func TestDiffSkipsUnmeasuredMetrics(t *testing.T) {
 	base := NewSuite(1, []Result{{Name: "k", SimNS: 1000}})
-	cand := NewSuite(1, []Result{{Name: "k", NsPerOp: 50, SimNS: 1000}})
+	cand := NewSuite(1, []Result{{Name: "k", SimNS: 1000, RecoveryNS: 50}})
 	rep := diffOf(base, cand)
 	for _, d := range rep.Deltas {
-		if d.Metric == "ns/op" {
-			t.Errorf("compared ns/op with no baseline measurement: %+v", d)
+		if d.Metric == "recovery_sim_ns" {
+			t.Errorf("compared recovery_sim_ns with no baseline measurement: %+v", d)
 		}
 	}
 	if rep.HasRegression() {
@@ -308,10 +303,10 @@ func TestSuiteValidateDuplicates(t *testing.T) {
 // actually compared, not just the deltas' dispositions.
 func TestFormatSummaryLine(t *testing.T) {
 	base := NewSuite(1, []Result{
-		{Name: "k", Iterations: 1, NsPerOp: 100, SimNS: 1000},
-		{Name: "gone", Iterations: 1, NsPerOp: 5},
+		{Name: "k", SimNS: 1000, SimFlushes: 100},
+		{Name: "gone", SimNS: 5},
 	})
-	cand := NewSuite(1, []Result{{Name: "k", Iterations: 1, NsPerOp: 200, SimNS: 1000}})
+	cand := NewSuite(1, []Result{{Name: "k", SimNS: 2000, SimFlushes: 100}})
 	var buf strings.Builder
 	diffOf(base, cand).Format(&buf, false)
 	out := buf.String()

@@ -6,33 +6,25 @@ import (
 	"math"
 )
 
-// DiffOptions tunes the regression comparison. Thresholds are used
+// DiffOptions tunes the regression comparison. The threshold is used
 // exactly as given: zero demands exact equality (any growth flags).
-// cmd/benchdiff supplies its own defaults (0.25 wall, 0.02 sim).
+// cmd/benchdiff supplies its own default (0.02).
 type DiffOptions struct {
-	// WallThreshold is the allowed fractional growth of host
-	// wall-clock metrics (ns/op, allocs/op, B/op) before a delta
-	// counts as a regression. Wall numbers vary across machines, so
-	// this should be generous.
-	WallThreshold float64
-	// SimThreshold is the allowed fractional growth of simulated
-	// metrics (sim_ns, sim_flushes, recovery_sim_ns). These are
-	// deterministic, so drift means the simulated behaviour changed.
+	// SimThreshold is the allowed fractional growth of a metric before a
+	// delta counts as a regression. Every metric is deterministic, so
+	// drift means the simulated behaviour changed.
 	SimThreshold float64
 }
 
 // Delta is one metric comparison between two suites.
 type Delta struct {
 	Name   string  // benchmark name
-	Metric string  // metric label, e.g. "ns/op" or "sim_ns"
+	Metric string  // metric label, e.g. "sim_ns" or "failures"
 	Old    float64 // baseline value
 	New    float64 // candidate value
-	// Sim marks deterministic simulated metrics (gated tightly and
-	// still enforced when wall metrics are advisory).
-	Sim bool
 	// Ratio is New/Old (+Inf when the metric appeared from zero).
 	Ratio float64
-	// Regression is set when the growth exceeds the metric's threshold.
+	// Regression is set when the growth exceeds the threshold.
 	Regression bool
 	// Improved is set when the metric shrank beyond the same threshold.
 	Improved bool
@@ -50,42 +42,30 @@ type Report struct {
 }
 
 // metric describes one comparable Result field. measured distinguishes
-// a true zero (comparable: allocs/op of an allocation-free kernel,
-// sim_flushes of a flush-free probe) from "this result never measured
-// that metric" (harness cases carry no wall numbers, wall-only kernels
-// no sim probe).
+// a true zero (comparable: sim_flushes of a flush-free probe, failures
+// of a healthy campaign cell) from "this result never measured that
+// metric" (kernel probes and harness cases carry no injections, most
+// cases no recovery time).
 type metric struct {
 	label    string
 	get      func(Result) float64
 	measured func(Result) bool
-	sim      bool // deterministic simulated metric: tight threshold
 }
-
-// wallMeasured: the wall-clock runner executed (testing.Benchmark
-// always reports at least one iteration).
-func wallMeasured(r Result) bool { return r.Iterations > 0 }
 
 // simMeasured: the deterministic probe ran (every probe advances the
 // simulated clock, so SimNS is positive whenever sim metrics exist).
 func simMeasured(r Result) bool { return r.SimNS > 0 }
 
 var metrics = []metric{
-	{"ns/op", func(r Result) float64 { return r.NsPerOp }, wallMeasured, false},
-	{"allocs/op", func(r Result) float64 { return r.AllocsPerOp }, wallMeasured, false},
-	{"B/op", func(r Result) float64 { return r.BytesPerOp }, wallMeasured, false},
-	{"sim_ns", func(r Result) float64 { return float64(r.SimNS) }, simMeasured, true},
-	{"sim_flushes", func(r Result) float64 { return float64(r.SimFlushes) }, simMeasured, true},
+	{"sim_ns", func(r Result) float64 { return float64(r.SimNS) }, simMeasured},
+	{"sim_flushes", func(r Result) float64 { return float64(r.SimFlushes) }, simMeasured},
 	{"recovery_sim_ns", func(r Result) float64 { return float64(r.RecoveryNS) },
-		func(r Result) bool { return r.RecoveryNS > 0 }, true},
+		func(r Result) bool { return r.RecoveryNS > 0 }},
 	// Campaign failure counts are deterministic, and a measured zero is
 	// the expected healthy value for the algorithm-directed schemes, so
 	// any failure appearing from zero flags as a regression.
 	{"failures", func(r Result) float64 { return float64(r.Failures) },
-		func(r Result) bool { return r.Injections > 0 }, true},
-	// Campaign per-injection wall cost is a host measurement like ns/op:
-	// generous threshold, advisory on PRs.
-	{"wall_ns_per_injection", func(r Result) float64 { return r.WallNSPerInjection },
-		func(r Result) bool { return r.WallNSPerInjection > 0 }, false},
+		func(r Result) bool { return r.Injections > 0 }},
 }
 
 // Diff compares candidate against base metric by metric. A metric is
@@ -115,19 +95,15 @@ func Diff(base, candidate Suite, o DiffOptions) Report {
 			if ov == 0 && nv == 0 {
 				continue
 			}
-			thr := o.WallThreshold
-			if m.sim {
-				thr = o.SimThreshold
-			}
-			d := Delta{Name: b.Name, Metric: m.label, Old: ov, New: nv, Sim: m.sim}
+			d := Delta{Name: b.Name, Metric: m.label, Old: ov, New: nv}
 			switch {
 			case ov == 0: // metric appeared from a measured zero
 				d.Ratio = math.Inf(1)
 				d.Regression = true
 			default:
 				d.Ratio = nv / ov
-				d.Regression = d.Ratio > 1+thr
-				d.Improved = d.Ratio < 1-thr
+				d.Regression = d.Ratio > 1+o.SimThreshold
+				d.Improved = d.Ratio < 1-o.SimThreshold
 			}
 			rep.Deltas = append(rep.Deltas, d)
 		}
@@ -149,23 +125,6 @@ func (r Report) HasRegression() bool {
 	}
 	for _, d := range r.Deltas {
 		if d.Regression {
-			return true
-		}
-	}
-	return false
-}
-
-// HasBlockingRegression is HasRegression with wall-clock metrics
-// optionally advisory: with wallAdvisory set, only simulated-metric
-// regressions and missing benchmarks block. Used by CI on main, where
-// the runner hardware differs from the machine that recorded the
-// baseline and wall numbers are not comparable across hosts.
-func (r Report) HasBlockingRegression(wallAdvisory bool) bool {
-	if len(r.Missing) > 0 {
-		return true
-	}
-	for _, d := range r.Deltas {
-		if d.Regression && (d.Sim || !wallAdvisory) {
 			return true
 		}
 	}

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"testing"
-
 	"adcc/internal/cache"
 	"adcc/internal/ckpt"
 	"adcc/internal/crash"
@@ -11,22 +9,22 @@ import (
 	"adcc/internal/sparse"
 )
 
-// simProbeOps is the fixed operation count of the deterministic
-// simulated-metric probes. Sim metrics are totals over this many
-// operations of the kernel, so they stay exact integers.
+// simProbeOps is the default operation count of the deterministic
+// probes. Sim metrics are totals over a fixed number of operations of
+// the kernel, so they stay exact integers.
 const simProbeOps = 4096
 
-// Kernel is one named micro-benchmark of a substrate hot path: a
-// wall-clock body driven by testing.Benchmark, plus an optional
-// deterministic probe that reports the simulated clock and flush
-// activity of a fixed-size run.
+// Kernel is one named substrate hot path, defined once: RunKernels
+// drives its op a fixed number of times and reads the simulated clock
+// and flush counter, the root BenchmarkKernels drives the same op b.N
+// times under the Go benchmark runner.
 type Kernel struct {
-	Name  string
-	Bench func(b *testing.B)
-	// Sim runs the fixed-size deterministic probe and returns the
-	// simulated duration and cache-line flush count. Nil for kernels
-	// with no simulated component.
-	Sim func() (simNS, flushes int64)
+	Name string
+	// ProbeOps is how many times the deterministic probe calls the op.
+	ProbeOps int
+	// Setup builds a fresh machine with the kernel's data on it and
+	// returns the operation; i is the call index, counting from 0.
+	Setup func() (m *crash.Machine, op func(i int))
 }
 
 func kernelMachine() *crash.Machine {
@@ -36,93 +34,48 @@ func kernelMachine() *crash.Machine {
 	})
 }
 
-// mcKernelConfig sizes the MC lookup kernel: the full nuclide count
-// with a reduced grid, matching the root bench_test micro-benchmark.
-func mcKernelConfig() mc.Config {
-	return mc.Config{Nuclides: 34, PointsPerNuclide: 1000, Lookups: 1 << 30, Seed: 42}
-}
-
-// Kernels returns the kernel micro-benchmark suite in stable name
-// order. The names are part of the bench JSON schema surface: renaming
-// one makes benchdiff report it missing against older baselines.
+// Kernels returns the kernel suite in stable name order. The names are
+// part of the bench JSON schema surface: renaming one makes benchdiff
+// report it missing against older baselines.
 func Kernels() []Kernel {
 	return []Kernel{
 		{
 			// Hit path of the LLC model: one simulated element load.
-			Name: "cache/load",
-			Bench: func(b *testing.B) {
+			Name: "cache/load", ProbeOps: simProbeOps,
+			Setup: func() (*crash.Machine, func(int)) {
 				m := kernelMachine()
 				r := m.Heap.AllocF64("v", 1024)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_ = r.At(i & 1023)
-				}
-			},
-			Sim: func() (int64, int64) {
-				m := kernelMachine()
-				r := m.Heap.AllocF64("v", 1024)
-				start := m.Clock.Now()
-				for i := 0; i < simProbeOps; i++ {
-					_ = r.At(i & 1023)
-				}
-				return m.Clock.Since(start), m.LLC.Stats().Flushes
+				return m, func(i int) { _ = r.At(i & 1023) }
 			},
 		},
 		{
 			// Streaming stores with eviction and writeback pressure.
-			Name: "cache/stream",
-			Bench: func(b *testing.B) {
+			Name: "cache/stream", ProbeOps: simProbeOps,
+			Setup: func() (*crash.Machine, func(int)) {
 				m := kernelMachine()
 				r := m.Heap.AllocF64("v", 1<<20)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r.Set(i&(1<<20-1), float64(i))
-				}
-			},
-			Sim: func() (int64, int64) {
-				m := kernelMachine()
-				r := m.Heap.AllocF64("v", 1<<20)
-				start := m.Clock.Now()
-				for i := 0; i < simProbeOps; i++ {
-					r.Set(i&(1<<20-1), float64(i))
-				}
-				return m.Clock.Since(start), m.LLC.Stats().Flushes
+				return m, func(i int) { r.Set(i&(1<<20-1), float64(i)) }
 			},
 		},
 		{
 			// The cache-line flush model: store an element, persist its
 			// line — the store/CLFLUSH pairing behind every selective
 			// flush in the algorithm-directed schemes.
-			Name: "cache/flush",
-			Bench: func(b *testing.B) {
+			Name: "cache/flush", ProbeOps: simProbeOps,
+			Setup: func() (*crash.Machine, func(int)) {
 				m := kernelMachine()
 				r := m.Heap.AllocF64("v", 1024)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+				return m, func(i int) {
 					idx := i & 1023
 					r.Set(idx, float64(i))
 					m.Persist(r.Addr(idx), 8)
 				}
-			},
-			Sim: func() (int64, int64) {
-				m := kernelMachine()
-				r := m.Heap.AllocF64("v", 1024)
-				start := m.Clock.Now()
-				for i := 0; i < simProbeOps; i++ {
-					idx := i & 1023
-					r.Set(idx, float64(i))
-					m.Persist(r.Addr(idx), 8)
-				}
-				return m.Clock.Since(start), m.LLC.Stats().Flushes
 			},
 		},
 		{
 			// Simulated CSR SpMV, the CG hot kernel.
-			Name: "sparse/spmv",
-			Bench: func(b *testing.B) {
+			Name: "sparse/spmv", ProbeOps: 1,
+			Setup: func() (*crash.Machine, func(int)) {
 				m := kernelMachine()
 				a := sparse.GenSPD(20000, 11, 1)
 				sa := sparse.NewSimCSR(m.Heap, a, "A")
@@ -131,161 +84,62 @@ func Kernels() []Kernel {
 				for i := 0; i < a.N; i++ {
 					x.Set(i, 1)
 				}
-				b.SetBytes(int64(sa.Bytes()))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sa.SpMV(m.CPU, y, 0, x, 0)
-				}
-			},
-			Sim: func() (int64, int64) {
-				m := kernelMachine()
-				a := sparse.GenSPD(20000, 11, 1)
-				sa := sparse.NewSimCSR(m.Heap, a, "A")
-				x := m.Heap.AllocF64("x", a.N)
-				y := m.Heap.AllocF64("y", a.N)
-				for i := 0; i < a.N; i++ {
-					x.Set(i, 1)
-				}
-				start := m.Clock.Now()
-				sa.SpMV(m.CPU, y, 0, x, 0)
-				return m.Clock.Since(start), m.LLC.Stats().Flushes
+				return m, func(int) { sa.SpMV(m.CPU, y, 0, x, 0) }
 			},
 		},
 		{
-			// Un-instrumented reference SpMV (no simulated component).
-			Name: "sparse/spmv-native",
-			Bench: func(b *testing.B) {
-				a := sparse.GenSPD(20000, 11, 1)
-				x := make([]float64, a.N)
-				y := make([]float64, a.N)
-				for i := range x {
-					x[i] = 1
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sparse.SpMV(y, a, x)
-				}
-			},
-		},
-		{
-			// The pure sampling path of one MC lookup (no simulated
-			// memory traffic, so no Sim probe).
-			Name: "mc/sample",
-			Bench: func(b *testing.B) {
+			// One full macroscopic cross-section lookup: the full
+			// nuclide count with a reduced grid.
+			Name: "mc/lookup", ProbeOps: simProbeOps,
+			Setup: func() (*crash.Machine, func(int)) {
 				m := kernelMachine()
-				s := mc.New(m.Heap, m.CPU, mcKernelConfig())
-				b.ReportAllocs()
-				b.ResetTimer()
-				var sink float64
-				for i := 0; i < b.N; i++ {
-					e, _, c := s.SampleLookup(int64(i))
-					sink += e + c
-				}
-				_ = sink
-			},
-		},
-		{
-			// One full macroscopic cross-section lookup.
-			Name: "mc/lookup",
-			Bench: func(b *testing.B) {
-				m := kernelMachine()
-				s := mc.New(m.Heap, m.CPU, mcKernelConfig())
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.Lookup(int64(i))
-				}
-			},
-			Sim: func() (int64, int64) {
-				m := kernelMachine()
-				s := mc.New(m.Heap, m.CPU, mcKernelConfig())
-				start := m.Clock.Now()
-				for i := 0; i < simProbeOps; i++ {
-					s.Lookup(int64(i))
-				}
-				return m.Clock.Since(start), m.LLC.Stats().Flushes
+				s := mc.New(m.Heap, m.CPU, mc.Config{Nuclides: 34, PointsPerNuclide: 1000, Lookups: 1 << 30, Seed: 42})
+				return m, func(i int) { s.Lookup(int64(i)) }
 			},
 		},
 		{
 			// One single-line undo-log transaction, the PMEM-baseline
 			// hot path.
-			Name: "pmem/tx",
-			Bench: func(b *testing.B) {
+			Name: "pmem/tx", ProbeOps: simProbeOps,
+			Setup: func() (*crash.Machine, func(int)) {
 				m := kernelMachine()
 				p := pmem.NewPool(m, 1<<20)
 				r := m.Heap.AllocF64("v", 1024)
 				p.RegisterF64(r)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+				return m, func(i int) {
 					tx := p.Begin()
 					tx.SetF64(r, i&1023, float64(i))
 					tx.Commit()
 				}
-			},
-			Sim: func() (int64, int64) {
-				m := kernelMachine()
-				p := pmem.NewPool(m, 1<<20)
-				r := m.Heap.AllocF64("v", 1024)
-				p.RegisterF64(r)
-				start := m.Clock.Now()
-				for i := 0; i < simProbeOps; i++ {
-					tx := p.Begin()
-					tx.SetF64(r, i&1023, float64(i))
-					tx.Commit()
-				}
-				return m.Clock.Since(start), m.LLC.Stats().Flushes
 			},
 		},
 		{
 			// Memory-based checkpoint of a 1 MB region.
-			Name: "ckpt/nvm",
-			Bench: func(b *testing.B) {
+			Name: "ckpt/nvm", ProbeOps: 64,
+			Setup: func() (*crash.Machine, func(int)) {
 				m := kernelMachine()
 				c := ckpt.NewNVM(m)
 				r := m.Heap.AllocF64("v", 128<<10)
-				b.SetBytes(int64(r.Bytes()))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c.Checkpoint(int64(i), r)
-				}
-			},
-			Sim: func() (int64, int64) {
-				m := kernelMachine()
-				c := ckpt.NewNVM(m)
-				r := m.Heap.AllocF64("v", 128<<10)
-				start := m.Clock.Now()
-				for i := 0; i < 64; i++ {
-					c.Checkpoint(int64(i), r)
-				}
-				return m.Clock.Since(start), m.LLC.Stats().Flushes
+				return m, func(i int) { c.Checkpoint(int64(i), r) }
 			},
 		},
 	}
 }
 
-// RunKernels executes every kernel micro-benchmark — wall-clock
-// measurement via testing.Benchmark plus the deterministic sim probe —
-// and returns one Result per kernel.
+// RunKernels runs every kernel's deterministic probe — ProbeOps calls of
+// its op on a fresh machine — and returns one Result per kernel: the
+// simulated duration of the calls and the cache-line flushes the
+// machine issued.
 func RunKernels() []Result {
 	kernels := Kernels()
 	out := make([]Result, 0, len(kernels))
 	for _, k := range kernels {
-		br := testing.Benchmark(k.Bench)
-		r := Result{
-			Name:        k.Name,
-			Iterations:  br.N,
-			NsPerOp:     float64(br.T.Nanoseconds()) / float64(br.N),
-			AllocsPerOp: float64(br.AllocsPerOp()),
-			BytesPerOp:  float64(br.AllocedBytesPerOp()),
+		m, op := k.Setup()
+		start := m.Clock.Now()
+		for i := 0; i < k.ProbeOps; i++ {
+			op(i)
 		}
-		if k.Sim != nil {
-			r.SimNS, r.SimFlushes = k.Sim()
-		}
-		out = append(out, r)
+		out = append(out, Result{Name: k.Name, SimNS: m.Clock.Since(start), SimFlushes: m.LLC.Stats().Flushes})
 	}
 	return out
 }

@@ -32,7 +32,6 @@ import (
 	"hash/fnv"
 	"io"
 	"slices"
-	"time"
 
 	"adcc/internal/cache"
 	"adcc/internal/crash"
@@ -95,9 +94,7 @@ type Config struct {
 	// stored report is spliced into the final Report in canonical order.
 	// Every canonical-JSON field of a CellReport is a deterministic
 	// function of (code, scale, seed), so a report assembled from
-	// checkpoints is byte-identical to an uninterrupted run's; only the
-	// host-measured WallNSPerInjection is whatever the checkpoint carries
-	// (zero when restored from JSON, which excludes it).
+	// checkpoints is byte-identical to an uninterrupted run's.
 	Completed map[string]CellReport
 	// OnCell, when non-nil, is called once per freshly executed cell with
 	// the cell's aggregated CellReport, in deterministic grid order, as
@@ -410,11 +407,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 }
 
 // stage2 executes every planned injection and returns the rows in
-// plan-major point order, accounting host wall time per plan into
-// cellWallNS and feeding cfg.Sink, cfg.Events, and cfg.OnCell on the
-// way. It is a parameter of run only so the tests' from-scratch oracle
-// goes through the same planning and aggregation as the engine.
-type stage2 func(ctx context.Context, cfg Config, plans []plan, cellWallNS []int64) ([]InjectionRow, error)
+// plan-major point order, feeding cfg.Sink, cfg.Events, and cfg.OnCell
+// on the way. It is a parameter of run only so the tests' from-scratch
+// oracle goes through the same planning and aggregation as the engine.
+type stage2 func(ctx context.Context, cfg Config, plans []plan) ([]InjectionRow, error)
 
 func run(ctx context.Context, cfg Config, execute stage2) (*Report, error) {
 	grid, err := cfg.cells()
@@ -486,8 +482,7 @@ func run(ctx context.Context, cfg Config, execute stage2) (*Report, error) {
 
 	// Stage 2: execute the injections, one row per (cell, point) in
 	// plan-major point order.
-	cellWallNS := make([]int64, len(plans))
-	results, err := execute(ctx, cfg, plans, cellWallNS)
+	results, err := execute(ctx, cfg, plans)
 	if err != nil {
 		return nil, err
 	}
@@ -496,8 +491,8 @@ func run(ctx context.Context, cfg Config, execute stage2) (*Report, error) {
 	rep := &Report{Schema: SchemaVersion, Scale: cfg.scale(), Seed: cfg.Seed}
 	byPlan := make([]CellReport, 0, len(plans)+len(restored))
 	off := 0
-	for pi, p := range plans {
-		byPlan = append(byPlan, aggregateCell(p, results[off:off+len(p.Points)], cellWallNS[pi]))
+	for _, p := range plans {
+		byPlan = append(byPlan, aggregateCell(p, results[off:off+len(p.Points)]))
 		off += len(p.Points)
 	}
 	byPlan = append(byPlan, restored...)
@@ -515,7 +510,7 @@ func run(ctx context.Context, cfg Config, execute stage2) (*Report, error) {
 // Add/Finalize methods) the result-store query layer all use it — so a
 // checkpointed or store-rebuilt cell report is identical to the one an
 // uninterrupted run assembles.
-func aggregateCell(p plan, inj []InjectionRow, wallNS int64) CellReport {
+func aggregateCell(p plan, inj []InjectionRow) CellReport {
 	cr := CellReport{
 		Workload:   p.Cell.Family.Name,
 		Scheme:     p.Cell.Scheme.Name(),
@@ -527,7 +522,7 @@ func aggregateCell(p plan, inj []InjectionRow, wallNS int64) CellReport {
 	for _, r := range inj {
 		cr.Add(r)
 	}
-	cr.Finalize(wallNS)
+	cr.Finalize()
 	return cr
 }
 
@@ -541,7 +536,7 @@ func aggregateCell(p plan, inj []InjectionRow, wallNS int64) CellReport {
 // pool; within a cell the work is sequential, bounding resident
 // snapshot memory to roughly the pool width times the per-cell class
 // count.
-func runCells(ctx context.Context, cfg Config, plans []plan, cellWallNS []int64) ([]InjectionRow, error) {
+func runCells(ctx context.Context, cfg Config, plans []plan) ([]InjectionRow, error) {
 	// Global injection index of each plan's first point: InjectionDone
 	// events number injections across the whole campaign.
 	offset := make([]int, len(plans)+1)
@@ -573,17 +568,12 @@ func runCells(ctx context.Context, cfg Config, plans []plan, cellWallNS []int64)
 				}
 			}
 			if cfg.OnCell != nil {
-				cfg.OnCell(aggregateCell(plans[i], inj, cellWallNS[i]))
+				cfg.OnCell(aggregateCell(plans[i], inj))
 			}
 		}
 	}
 	perCell, err := engine.RunCasesObserved(ctx, cfg.Parallel, len(plans), func(i int) ([]InjectionRow, error) {
-		start := time.Now()
-		inj, err := runCell(ctx, cfg, plans[i])
-		// Written once, by the one worker that ran the cell; the
-		// executor's collection orders it before every reader.
-		cellWallNS[i] = time.Since(start).Nanoseconds()
-		return inj, err
+		return runCell(ctx, cfg, plans[i])
 	}, observe)
 	if err != nil {
 		return nil, err

@@ -40,11 +40,7 @@ func TestOnCellMatchesReport(t *testing.T) {
 			if c.Key() != keys[i] {
 				t.Errorf("OnCell #%d = %q, want grid order %q", i, c.Key(), keys[i])
 			}
-			want := byKey[c.Key()]
-			// The wall measurement is host noise; canonical fields
-			// must match exactly.
-			c.WallNSPerInjection, want.WallNSPerInjection = 0, 0
-			if c != want {
+			if want := byKey[c.Key()]; c != want {
 				t.Errorf("OnCell %s = %+v, want %+v", c.Key(), c, want)
 			}
 		}
@@ -67,8 +63,8 @@ func TestResumeFromCheckpoints(t *testing.T) {
 		cfg := tinyConfig(2)
 		cfg.Completed = map[string]CellReport{}
 		for _, c := range cells[:keep] {
-			// Round-trip through JSON: WallNSPerInjection is dropped,
-			// like a shard file written by adccd.
+			// Round-trip through JSON, like a shard file written by
+			// adccd.
 			b, err := json.Marshal(c)
 			if err != nil {
 				t.Fatal(err)

@@ -3,9 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"adcc/internal/crash"
 	"adcc/internal/engine"
@@ -35,7 +33,7 @@ type job struct {
 // independently; observation in index order feeds Sink, Events, and
 // OnCell the sequence the engine produces (minus its per-cell
 // "campaign/record" Progress events).
-func runLegacy(ctx context.Context, cfg Config, plans []plan, cellWallNS []int64) ([]InjectionRow, error) {
+func runLegacy(ctx context.Context, cfg Config, plans []plan) ([]InjectionRow, error) {
 	var jobs []job
 	for pi, p := range plans {
 		for _, pt := range p.Points {
@@ -66,15 +64,12 @@ func runLegacy(ctx context.Context, cfg Config, plans []plan, cellWallNS []int64
 		// The last job of a plan closes the cell.
 		cellBuf = append(cellBuf, inj)
 		if i+1 == len(jobs) || jobs[i+1].PlanIdx != pi {
-			cfg.OnCell(aggregateCell(plans[pi], cellBuf, atomic.LoadInt64(&cellWallNS[pi])))
+			cfg.OnCell(aggregateCell(plans[pi], cellBuf))
 			cellBuf = cellBuf[:0]
 		}
 	}
 	return engine.RunCasesObserved(ctx, cfg.Parallel, len(jobs), func(i int) (InjectionRow, error) {
-		start := time.Now()
-		inj := runInjection(cfg, plans[jobs[i].PlanIdx], jobs[i].Point)
-		atomic.AddInt64(&cellWallNS[jobs[i].PlanIdx], time.Since(start).Nanoseconds())
-		return inj, nil
+		return runInjection(cfg, plans[jobs[i].PlanIdx], jobs[i].Point), nil
 	}, observe)
 }
 

@@ -146,13 +146,6 @@ type CellReport struct {
 	// post-crash detection/restore and in re-execution, respectively.
 	RecoverSimNS int64 `json:"recover_sim_ns"`
 	ResumeSimNS  int64 `json:"resume_sim_ns"`
-
-	// WallNSPerInjection is the host wall-clock cost of one injection of
-	// this cell (averaged over the cell). It is measurement, not
-	// simulation — nondeterministic across hosts and runs — so it is
-	// excluded from the canonical JSON encoding and surfaces only
-	// through BenchResults, where benchdiff treats it as a wall metric.
-	WallNSPerInjection float64 `json:"-"`
 }
 
 // Failures counts injections that ended without a verified result.
@@ -186,15 +179,11 @@ func (c *CellReport) Add(r InjectionRow) {
 	c.ResumeSimNS += r.ResumeSimNS
 }
 
-// Finalize computes the derived fields once every row has been added:
-// the recovery rate over crashed injections and (when wallNS is
-// nonzero) the host wall cost per injection.
-func (c *CellReport) Finalize(wallNS int64) {
+// Finalize computes the derived field once every row has been added:
+// the recovery rate over crashed injections.
+func (c *CellReport) Finalize() {
 	if crashed := c.Injections - c.NoCrash; crashed > 0 {
 		c.RecoveryRate = float64(c.Clean+c.Recomputed) / float64(crashed)
-	}
-	if c.Injections > 0 {
-		c.WallNSPerInjection = float64(wallNS) / float64(c.Injections)
 	}
 }
 
@@ -283,16 +272,14 @@ func (r *Report) BenchResults() []bench.Result {
 	out := make([]bench.Result, 0, len(r.Cells)+1)
 	var total bench.Result
 	total.Name = "campaign/total"
-	var totalWallNS float64
 	for _, c := range r.Cells {
 		res := bench.Result{
-			Name:               "campaign/" + c.Key(),
-			SimNS:              c.RecoverSimNS + c.ResumeSimNS,
-			SimFlushes:         c.FlushLines,
-			RecoveryNS:         c.RecoverSimNS,
-			Injections:         int64(c.Injections),
-			Failures:           int64(c.Failures()),
-			WallNSPerInjection: c.WallNSPerInjection,
+			Name:       "campaign/" + c.Key(),
+			SimNS:      c.RecoverSimNS + c.ResumeSimNS,
+			SimFlushes: c.FlushLines,
+			RecoveryNS: c.RecoverSimNS,
+			Injections: int64(c.Injections),
+			Failures:   int64(c.Failures()),
 		}
 		out = append(out, res)
 		total.SimNS += res.SimNS
@@ -300,10 +287,6 @@ func (r *Report) BenchResults() []bench.Result {
 		total.RecoveryNS += res.RecoveryNS
 		total.Injections += res.Injections
 		total.Failures += res.Failures
-		totalWallNS += c.WallNSPerInjection * float64(c.Injections)
-	}
-	if total.Injections > 0 {
-		total.WallNSPerInjection = totalWallNS / float64(total.Injections)
 	}
 	return append(out, total)
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"os"
 
 	"adcc/internal/bench"
 	"adcc/internal/campaign"
@@ -45,7 +46,8 @@ func RunCampaign(ctx context.Context, o Options) (*Table, error) {
 // adcc-report/v1 envelope; with col set, every cell is also recorded as
 // a bench result so benchdiff gates recovery-rate regressions.
 func RunCampaignConfig(ctx context.Context, cfg campaign.Config, storePath, jsonPath string, col *bench.Collector) (*campaign.Report, error) {
-	var fw *resultstore.FileWriter
+	var store *os.File
+	var sw *resultstore.Writer
 	if storePath != "" {
 		// The store footer carries the same normalized scale the report
 		// records, so the rebuilt envelope is byte-identical.
@@ -54,15 +56,26 @@ func RunCampaignConfig(ctx context.Context, cfg campaign.Config, storePath, json
 			scale = 1.0
 		}
 		var err error
-		if fw, err = resultstore.CreateFile(storePath, scale, cfg.Seed); err != nil {
+		if store, err = os.Create(storePath); err != nil {
 			return nil, err
 		}
-		cfg.Sink = fw
+		sw = resultstore.NewWriter(store, scale, cfg.Seed)
+		cfg.Sink = sw
 	}
 	rep, err := campaign.Run(ctx, cfg)
-	if fw != nil {
-		if cerr := fw.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("write campaign store: %w", cerr)
+	if store != nil {
+		// Only a completed sweep is finalized. A failed or cancelled one
+		// has streamed a prefix of the cells; with a footer that prefix
+		// would open and re-export as a valid, smaller campaign, so no
+		// file is left instead.
+		if err == nil {
+			err = sw.Close()
+		}
+		if cerr := store.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			os.Remove(storePath)
 		}
 	}
 	if err != nil {

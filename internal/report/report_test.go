@@ -13,7 +13,7 @@ import (
 
 func sampleSuite() bench.Suite {
 	return bench.NewSuite(0.5, []bench.Result{
-		{Name: "k/a", SimNS: 100, NsPerOp: 3.5, Iterations: 10},
+		{Name: "k/a", SimNS: 100, SimFlushes: 4},
 		{Name: "k/b", SimNS: 200},
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"testing"
 
 	"adcc/internal/campaign"
@@ -119,22 +120,26 @@ func TestStoreSmallerThanJSON(t *testing.T) {
 	}
 }
 
-// TestFileRoundTrip covers the file-path wiring: CreateFile, sink
-// writes, OpenFile, and the rebuilt report.
+// TestFileRoundTrip covers the file path: a Writer over an *os.File,
+// sink writes, OpenFile, and the rebuilt report.
 func TestFileRoundTrip(t *testing.T) {
 	path := t.TempDir() + "/campaign.adccs"
-	fw, err := CreateFile(path, 0.02, 0)
+	file, err := os.Create(path)
 	if err != nil {
-		t.Fatalf("CreateFile: %v", err)
+		t.Fatalf("Create: %v", err)
 	}
+	w := NewWriter(file, 0.02, 0)
 	cfg := storeConfig(2)
-	cfg.Sink = fw
+	cfg.Sink = w
 	rep, err := campaign.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if err := fw.Close(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+	if err := file.Close(); err != nil {
+		t.Fatalf("Close file: %v", err)
 	}
 	f, err := OpenFile(path)
 	if err != nil {

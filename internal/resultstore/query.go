@@ -302,7 +302,7 @@ func (s *Store) CellReports(f Filter) ([]campaign.CellReport, error) {
 			}
 			cr.Add(r)
 		}
-		cr.Finalize(0)
+		cr.Finalize()
 		out = append(out, cr)
 	}
 	campaign.SortCells(out)
@@ -312,8 +312,7 @@ func (s *Store) CellReports(f Filter) ([]campaign.CellReport, error) {
 // CampaignReport rebuilds the full adcc-campaign/v1 report from the
 // store — the proof that the JSON envelope is an export of the store:
 // for a campaign run with a Sink, EncodeJSON of this report is
-// byte-identical to the envelope the live run wrote (wall-clock cost
-// is measurement, excluded from the canonical encoding).
+// byte-identical to the envelope the live run wrote.
 func (s *Store) CampaignReport() (*campaign.Report, error) {
 	cells, err := s.CellReports(Filter{})
 	if err != nil {

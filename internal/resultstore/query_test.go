@@ -184,7 +184,7 @@ func TestCellReportsRebuild(t *testing.T) {
 	var lastCell campaign.CellInfo
 	flush := func() {
 		if cur != nil {
-			cur.Finalize(0)
+			cur.Finalize()
 			want = append(want, *cur)
 			cur = nil
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"adcc/internal/campaign"
 )
@@ -199,31 +198,4 @@ func (sw *Writer) Close() error {
 		return err
 	}
 	return sw.w.Flush()
-}
-
-// FileWriter couples a Writer to the file it streams into, so command
-// wiring is one call each way: CreateFile to open, Close to finish the
-// store and the file.
-type FileWriter struct {
-	*Writer
-	f *os.File
-}
-
-// CreateFile creates (truncating) a store file at path.
-func CreateFile(path string, scale float64, seed int64) (*FileWriter, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &FileWriter{Writer: NewWriter(f, scale, seed), f: f}, nil
-}
-
-// Close finishes the store stream and closes the file, reporting the
-// first error.
-func (fw *FileWriter) Close() error {
-	err := fw.Writer.Close()
-	if cerr := fw.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -52,8 +52,8 @@ const CampaignSchemaVersion = campaign.SchemaVersion
 // Benchmark data model (the perf pipeline behind `adccbench -bench`
 // and benchdiff).
 type (
-	// Result is one named measurement: host wall-clock metrics and/or
-	// deterministic simulated metrics.
+	// Result is one named measurement: deterministic simulated metrics
+	// only, no host wall-clock number.
 	Result = bench.Result
 	// Suite is a full benchmark run with a canonical JSON encoding.
 	Suite = bench.Suite
@@ -78,8 +78,8 @@ func NewSuite(scale float64, results []Result) Suite {
 	return bench.NewSuite(scale, results)
 }
 
-// RunKernels runs the kernel micro-benchmark suite (wall-clock and
-// simulated metrics per kernel).
+// RunKernels runs the kernel suite's deterministic probes (simulated
+// time and flush count of a fixed number of ops per kernel).
 func RunKernels() []Result { return bench.RunKernels() }
 
 // DiffSuites compares a candidate suite against a baseline (see the

@@ -3,6 +3,9 @@ package adcc_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io/fs"
+	"os"
 	"testing"
 
 	"adcc/pkg/adcc"
@@ -83,6 +86,28 @@ func TestCampaignStoreEndToEnd(t *testing.T) {
 	}
 	if agg.Rows != clean {
 		t.Errorf("clean-filtered Aggregate.Rows = %d, want %d", agg.Rows, clean)
+	}
+}
+
+// TestCancelledCampaignLeavesNoStore: a campaign cancelled after its
+// first cell returns the context's error and leaves no file at the
+// store path — not a footer-terminated prefix that would open and
+// re-export as a valid, smaller campaign.
+func TestCancelledCampaignLeavesNoStore(t *testing.T) {
+	path := t.TempDir() + "/campaign.adccs"
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := adcc.New(nil,
+		adcc.WithScale(0.05),
+		adcc.WithWorkloads("kvlog"),
+		adcc.WithCampaignStore(path),
+		adcc.WithCampaignCheckpoint(func(adcc.CampaignCell) { cancel() }),
+	).RunCampaign(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunCampaign = %v, want context.Canceled", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("cancelled campaign left a file at the store path (stat: %v)", err)
 	}
 }
 
