@@ -47,9 +47,10 @@ func main() {
 	fmt.Printf("6 seeded crash points: %v\n\n", pts)
 
 	// 3. A small campaign over three representative schemes, with the
-	// injection outcomes streamed as they classify. Every injection
-	// runs on a fresh simulated machine; the report — and the event
-	// stream — is byte-identical at any parallelism.
+	// injection outcomes streamed as they classify. Each cell runs its
+	// workload once and forks recovery once per class of equal
+	// post-crash states; the report — and the event stream — is
+	// byte-identical at any parallelism.
 	corrupt := 0
 	runner := adcc.New(reg,
 		adcc.WithScale(0.05),

@@ -111,8 +111,8 @@ func DefaultConfig() Config {
 
 // Stats counts simulator events.
 type Stats struct {
-	Loads      int64 // load requests (element granularity)
-	Stores     int64 // store requests
+	Loads      int64 // load requests: one per Load call (a range counts once), one per LoadEach index
+	Stores     int64 // store requests: one per Store call
 	LineHits   int64 // per-line hits
 	LineMisses int64 // per-line misses (fills)
 	Writebacks int64 // dirty evictions (capacity)
@@ -433,6 +433,37 @@ func (c *Cache) Load(a mem.Addr, size int) {
 func (c *Cache) Store(a mem.Addr, size int) {
 	c.stats.Stores++
 	c.access(a, size, true)
+}
+
+// LoadEach implements mem.Accessor: the 8-byte loads of an indexed
+// gather, each counted as one load request and walked through the same
+// directory hit path as access, with the hits of all of them billed
+// once — nothing reads the clock between two lines.
+func (c *Cache) LoadEach(base mem.Addr, idx []int64) {
+	c.stats.Loads += int64(len(idx))
+	var hits int64
+	dir := c.wayOf
+	for _, j := range idx {
+		a := base + mem.Addr(8*j)
+		for ln, last := c.lineNumber(a), c.lineNumber(a+7); ln <= last; ln++ {
+			c.tick++
+			var e uint32
+			if ln < uint64(len(dir)) {
+				e = dir[ln]
+			} else if ln >= dirMaxLines {
+				e = c.scanSet(ln)
+			}
+			if e == 0 {
+				c.missLine(ln, false)
+				dir = c.wayOf // the fill may have regrown the directory
+				continue
+			}
+			c.ways[uint64(e&dirWay)-1].use = c.tick
+			hits++
+		}
+	}
+	c.stats.LineHits += hits
+	c.clock.Advance(hits * c.cfg.HitNS)
 }
 
 func (c *Cache) access(a mem.Addr, size int, store bool) {

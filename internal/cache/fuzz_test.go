@@ -20,7 +20,8 @@ const (
 var fuzzCfg = Config{SizeBytes: 1 << 10, LineBytes: 64, Assoc: 4, HitNS: 1, FlushChargesClean: true, PrefetchStreams: 2}
 
 // Operation kinds of a FuzzCacheOps input: four bytes per operation —
-// kind, line, size, place.
+// kind, line, size, place. A LoadEach reads size bytes as a gather of
+// 1 + size%8 indices within the four lines from its base (fzGather).
 const (
 	fzLoad = iota
 	fzStore
@@ -28,6 +29,7 @@ const (
 	fzFlushOpt
 	fzWritebackAll
 	fzDiscardAll
+	fzLoadEach
 	fzKinds
 )
 
@@ -40,6 +42,19 @@ const (
 	fzOffShift = 4
 )
 
+// fzGather derives a LoadEach index vector from the size byte: the
+// indices stay inside the lines a 256-byte access would cover, so the
+// compared line windows hold every line a gather touches.
+func fzGather(size byte) []int64 {
+	idx := make([]int64, 1+size%8)
+	x := uint32(size)
+	for k := range idx {
+		x = x*1103515245 + 12345
+		idx[k] = int64(x>>16) % 32
+	}
+	return idx
+}
+
 // fzOp encodes one operation on size bytes starting at the given line.
 func fzOp(kind, line, size, place byte) []byte { return []byte{kind, line, size - 1, place} }
 
@@ -51,8 +66,8 @@ func fzSeq(ops ...[]byte) []byte {
 	return b
 }
 
-// FuzzCacheOps decodes its input into a sequence of loads, stores,
-// CLFLUSHes, CLWBs, drains and crashes over small, multi-line, far and
+// FuzzCacheOps decodes its input into a sequence of loads, gathers,
+// stores, CLFLUSHes, CLWBs, drains and crashes over small, multi-line, far and
 // wild addresses, drives Cache and refCache in lockstep, and after every
 // operation requires equal counters, equal resident and dirty sets (read
 // through Contains, which scans) and a directory equal to the ways.
@@ -73,6 +88,10 @@ func FuzzCacheOps(f *testing.F) {
 	// crash, and the same lines again.
 	f.Add(fzSeq(fzOp(fzStore, 0, 8, 0), fzOp(fzStore, 62, 250, 0), fzOp(fzLoad, 71, 250, 2*far), fzOp(fzDiscardAll, 0, 1, fzWild),
 		fzOp(fzLoad, 62, 250, 0), fzOp(fzStore, 71, 250, 2*far), fzOp(fzLoad, 0, 8, 0)))
+	// Gathers: over resident and dirty lines, a far one that regrows the
+	// directory, a wild one, then a miss stream that evicts.
+	f.Add(fzSeq(fzOp(fzStore, 3, 8, 0), fzOp(fzLoadEach, 3, 8, 0), fzOp(fzLoadEach, 70, 200, far), fzOp(fzLoadEach, 5, 77, fzWild),
+		fzOp(fzLoadEach, 0, 255, 3<<fzOffShift), fzOp(fzLoadEach, 4, 8, 0), fzOp(fzLoadEach, 8, 8, 0), fzOp(fzLoadEach, 12, 8, 0)))
 	// Wild lines beside directory lines of the same sets.
 	f.Add(fzSeq(fzOp(fzStore, 0, 8, fzWild), fzOp(fzStore, 0, 8, 0), fzOp(fzFlushOpt, 0, 8, fzWild), fzOp(fzStore, 0, 8, fzWild),
 		fzOp(fzLoad, 4, 250, fzWild), fzOp(fzFlush, 0, 8, fzWild), fzOp(fzLoad, 0, 8, 15<<fzOffShift), fzOp(fzDiscardAll, 0, 1, 0)))
@@ -99,6 +118,8 @@ func FuzzCacheOps(f *testing.F) {
 			switch kind {
 			case fzLoad:
 				l.load(a, size)
+			case fzLoadEach:
+				l.loadEach(a, fzGather(in[i+2]))
 			case fzStore:
 				l.store(a, size)
 			case fzFlush:

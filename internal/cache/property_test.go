@@ -162,6 +162,15 @@ func (l *lockstep) load(a mem.Addr, size int) {
 	l.ref.access(a, size, false)
 }
 
+// loadEach checks the gather against the reference's one 8-byte load
+// per index.
+func (l *lockstep) loadEach(base mem.Addr, idx []int64) {
+	l.c.LoadEach(base, idx)
+	for _, j := range idx {
+		l.ref.access(base+mem.Addr(8*j), 8, false)
+	}
+}
+
 func (l *lockstep) store(a mem.Addr, size int) {
 	l.c.Store(a, size)
 	l.ref.access(a, size, true)
@@ -433,5 +442,76 @@ func TestOccupancyIndexStaleMarksAndWildLines(t *testing.T) {
 	}
 	if c.DirtyLines() != 0 {
 		t.Fatal("DiscardAll left dirty lines behind")
+	}
+}
+
+// wbLog records the writebacks a cache hands its sink.
+type wbLog []mem.Addr
+
+func (w *wbLog) Writeback(a mem.Addr, size int) { *w = append(*w, a) }
+
+// TestLoadEachMatchesLoad: one LoadEach is one 8-byte Load per index.
+// Two caches, one gathering and one loading index by index, must stay
+// equal in counters, clock, ways, directory, replacement and prefetcher
+// state and writeback stream — with the directory equal to the ways —
+// over gathers that miss, evict dirty lines, regrow the directory, reach
+// wild lines past dirMaxLines, straddle two lines from an unaligned base
+// and walk line after line as a prefetch stream.
+func TestLoadEachMatchesLoad(t *testing.T) {
+	cfg := Config{SizeBytes: 2 << 10, LineBytes: 64, Assoc: 4, HitNS: 4, FlushChargesClean: true, PrefetchStreams: 4}
+	var gLog, lLog wbLog
+	gClock, lClock := &sim.Clock{}, &sim.Clock{}
+	g := New(cfg, gClock, nvm.NewUniform(nvm.DRAMLikeNVM()), &gLog)
+	l := New(cfg, lClock, nvm.NewUniform(nvm.DRAMLikeNVM()), &lLog)
+	rng := rand.New(rand.NewSource(15))
+	regrows, wild, streams := 0, 0, 0
+	for step := 0; step < 4000; step++ {
+		if rng.Intn(3) == 0 { // dirty lines for the gathers to evict
+			a := mem.Addr(64 * (1 + rng.Intn(96)))
+			g.Store(a, 8)
+			l.Store(a, 8)
+		}
+		base := mem.Addr(64 * (1 + rng.Intn(96)))
+		switch p := rng.Intn(10); {
+		case p == 0 && len(g.wayOf) < 4096:
+			base = mem.Addr(64 * len(g.wayOf))
+			regrows++
+		case p == 1: // past the bound by more than an index reaches back
+			base += (dirMaxLines + 8) * 64
+			wild++
+		case p == 2:
+			base += 4
+		}
+		idx := make([]int64, rng.Intn(24))
+		stream := rng.Intn(4) == 0
+		for k := range idx {
+			if stream {
+				idx[k] = int64(8 * k)
+			} else {
+				idx[k] = int64(rng.Intn(8*24) - 8*8)
+			}
+		}
+		if stream && len(idx) > 1 {
+			streams++
+		}
+		g.LoadEach(base, idx)
+		for _, j := range idx {
+			l.Load(base+mem.Addr(8*j), 8)
+		}
+		if g.Stats() != l.Stats() || gClock.Now() != lClock.Now() {
+			t.Fatalf("step %d: LoadEach(%#x, %v)\nstats %+v at %d ns\nLoad loop %+v at %d ns",
+				step, base, idx, g.Stats(), gClock.Now(), l.Stats(), lClock.Now())
+		}
+		if !slices.Equal(g.ways, l.ways) || !slices.Equal(g.wayOf, l.wayOf) || !slices.Equal(gLog, lLog) ||
+			!slices.Equal(g.streams, l.streams) || g.nextStream != l.nextStream || g.tick != l.tick || g.lastWbLine != l.lastWbLine {
+			t.Fatalf("step %d: LoadEach(%#x, %v) left the cache in another state than the Load loop", step, base, idx)
+		}
+		if err := auditDirectory(g); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	st := g.Stats()
+	if regrows == 0 || wild == 0 || streams == 0 || st.Writebacks == 0 || st.Prefetched == 0 {
+		t.Fatalf("the stream missed a case: %d regrows, %d wild, %d streams, stats %+v", regrows, wild, streams, st)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"adcc/internal/mem"
+	"adcc/internal/sparse"
 )
 
 // benchMachine is a default-geometry machine (2 MB LLC, 32768 ways) in
@@ -66,5 +67,57 @@ func BenchmarkCrashSnapshotFault(b *testing.B) {
 			b.Fatal(err)
 		}
 		prev = st
+	}
+}
+
+var benchSum float64
+
+// BenchmarkSpMVSim times one cache-simulated SpMV of the campaign's cg
+// matrix (n=1200, ~9 nonzeros a row; x resident in the LLC), with the
+// heap counting but no emulator running, and under a disarmed
+// Emulator.Run, as a campaign's resume executes it.
+func BenchmarkSpMVSim(b *testing.B) {
+	csr := sparse.GenSPD(1200, 9, 11)
+	for _, run := range []string{"emulator-off", "disarmed-run"} {
+		b.Run(run, func(b *testing.B) {
+			m := NewMachine(MachineConfig{System: NVMOnly})
+			e := NewEmulator(m)
+			a := sparse.NewSimCSR(m.Heap, csr, "A")
+			x := m.Heap.AllocF64("x", csr.N)
+			y := m.Heap.AllocF64("y", csr.N)
+			spmv := func() { a.SpMV(m.CPU, y, 0, x, 0) }
+			if run == "disarmed-run" {
+				spmv = func() { e.Run(func() { a.SpMV(m.CPU, y, 0, x, 0) }) }
+			}
+			spmv()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				spmv()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*csr.NNZ()), "ns/nnz")
+		})
+	}
+}
+
+// BenchmarkCountedLoad times one 8-byte At — count, op-stop compare and
+// LLC hit — under a running, disarmed emulator.
+func BenchmarkCountedLoad(b *testing.B) {
+	m := NewMachine(MachineConfig{System: NVMOnly})
+	e := NewEmulator(m)
+	r := m.Heap.AllocF64("hot", 1024)
+	for i := 0; i < r.Len(); i++ {
+		_ = r.At(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(func() {
+		for i := 0; i < b.N; i++ {
+			benchSum += r.At(i & 1023)
+		}
+	})
+	b.StopTimer()
+	if e.OpCount() != int64(b.N) {
+		b.Fatalf("counted %d ops in %d loads", e.OpCount(), b.N)
 	}
 }

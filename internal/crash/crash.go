@@ -134,9 +134,11 @@ func NewMachine(cfg MachineConfig) *Machine {
 	default:
 		panic(fmt.Sprintf("crash: unknown system kind %d", cfg.System))
 	}
-	heap := mem.NewHeap(nil)
-	llc := cache.New(cfg.Cache, clock, system, heap)
-	heap.SetAccessor(llc)
+	var llc *cache.Cache
+	heap := mem.NewHeapWith(func(h *mem.Heap) mem.Accessor {
+		llc = cache.New(cfg.Cache, clock, system, h)
+		return llc
+	})
 	return &Machine{Clock: clock, CPU: cpu, Heap: heap, LLC: llc, Mem: system, kind: cfg}
 }
 
@@ -380,17 +382,21 @@ type crashSignal struct {
 type Emulator struct {
 	M *Machine
 
+	// ops is the op count of the most recent Run, frozen when it
+	// returned; during a Run the heap holds the live count.
 	ops        int64
-	crashAtOp  int64 // crash when ops reaches this; 0 = disarmed
+	running    bool
+	crashAtOp  int64 // crash when the op count reaches this; 0 = disarmed
 	trigName   string
 	trigTarget int // occurrence number to crash at; 0 = disarmed
 	trigSeen   int
+	// stopFn is stop as a func value, made once: the heap calls it at
+	// every scheduled op-count point.
+	stopFn func()
 
-	crashed     bool
-	crashOps    int64
-	crashTrig   string
-	prevAcc     mem.Accessor
-	installedAt mem.Accessor
+	crashed   bool
+	crashOps  int64
+	crashTrig string
 
 	// profile, when non-nil, counts every Trigger call by name
 	// (installed by Profile runs).
@@ -414,11 +420,15 @@ type Emulator struct {
 
 // NewEmulator wraps a machine with crash-injection instrumentation.
 func NewEmulator(m *Machine) *Emulator {
-	return &Emulator{M: m}
+	e := &Emulator{M: m}
+	e.stopFn = e.stop
+	return e
 }
 
-// CrashAtOp arms a crash after n memory operations (element-granularity
-// loads/stores) have been issued, counted from the next Run.
+// CrashAtOp arms a crash after n memory operations have been issued,
+// counted from the next Run. An operation is one region accessor call
+// (mem.Heap counts them): a range load or store counts once, a gather
+// once per index.
 func (e *Emulator) CrashAtOp(n int64) {
 	e.crashAtOp = n
 }
@@ -584,13 +594,19 @@ func (e *Emulator) Trigger(name string) {
 	}
 	e.trigSeen++
 	if e.trigSeen == e.trigTarget {
-		panic(crashSignal{ops: e.ops, trigger: name})
+		panic(crashSignal{ops: e.OpCount(), trigger: name})
 	}
 }
 
 // OpCount returns the number of memory operations observed so far in the
-// current or most recent Run (including profiling runs).
-func (e *Emulator) OpCount() int64 { return e.ops }
+// current or most recent Run (including profiling runs). After a Run it
+// stays put: accesses outside a Run are not counted against it.
+func (e *Emulator) OpCount() int64 {
+	if e.running {
+		return e.M.Heap.Ops()
+	}
+	return e.ops
+}
 
 // Crashed reports whether the most recent Run ended in an injected crash.
 func (e *Emulator) Crashed() bool { return e.crashed }
@@ -602,34 +618,34 @@ func (e *Emulator) CrashOps() int64 { return e.crashOps }
 // op-count crashes).
 func (e *Emulator) CrashTrigger() string { return e.crashTrig }
 
-// countingAccessor interposes op counting and op-count crash points
-// between the heap and the LLC.
-type countingAccessor struct {
-	e     *Emulator
-	inner mem.Accessor
+// armStop schedules the heap's next stop at the earlier of the next
+// recorded op-count point and the armed crash op.
+func (e *Emulator) armStop() {
+	next := e.crashAtOp
+	if r := e.rec; r != nil && r.opCursor < len(r.ops) {
+		if at := r.ops[r.opCursor]; next <= 0 || at < next {
+			next = at
+		}
+	}
+	e.M.Heap.SetStop(next, e.stopFn)
 }
 
-func (c *countingAccessor) Load(a mem.Addr, size int) {
-	c.e.tick()
-	c.inner.Load(a, size)
-}
-
-func (c *countingAccessor) Store(a mem.Addr, size int) {
-	c.e.tick()
-	c.inner.Store(a, size)
-}
-
-func (e *Emulator) tick() {
-	e.ops++
-	if r := e.rec; r != nil && r.opCursor < len(r.ops) && r.ops[r.opCursor] == e.ops {
-		for _, pi := range r.opIdx[e.ops] {
+// stop runs at a scheduled op count, after the count and before the
+// operation reaches the cache: it captures every recorded point at this
+// op, crashes if the armed crash op is reached, and otherwise schedules
+// the next stop.
+func (e *Emulator) stop() {
+	ops := e.M.Heap.Ops()
+	if r := e.rec; r != nil && r.opCursor < len(r.ops) && r.ops[r.opCursor] == ops {
+		for _, pi := range r.opIdx[ops] {
 			r.capture(pi)
 		}
 		r.opCursor++
 	}
-	if e.crashAtOp > 0 && e.ops == e.crashAtOp {
-		panic(crashSignal{ops: e.ops})
+	if ops == e.crashAtOp {
+		panic(crashSignal{ops: ops})
 	}
+	e.armStop()
 }
 
 // recording is the state of one Record run: the scheduled op-count
@@ -698,17 +714,22 @@ func (e *Emulator) Record(workload func(), points []CrashPoint, capture func(poi
 // state a restarted process would observe. Panics other than the crash
 // sentinel propagate.
 func (e *Emulator) Run(workload func()) (crashed bool) {
-	e.ops = 0
 	e.trigSeen = 0
 	e.crashed = false
 	e.crashOps = 0
 	e.crashTrig = ""
 	e.faultErr = nil
 
-	e.prevAcc = e.M.Heap.Accessor()
-	counting := &countingAccessor{e: e, inner: e.prevAcc}
-	e.M.Heap.SetAccessor(counting)
-	defer e.M.Heap.SetAccessor(e.prevAcc)
+	h := e.M.Heap
+	h.ResetOps()
+	e.running = true
+	e.armStop()
+	// On every exit, foreign panics included: freeze the count and clear
+	// the stop, so accesses after the Run neither count nor fire it.
+	defer func() {
+		e.ops, e.running = h.Ops(), false
+		h.SetStop(0, nil)
+	}()
 
 	defer func() {
 		if r := recover(); r != nil {

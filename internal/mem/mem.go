@@ -6,11 +6,13 @@
 //
 // Every element access on a region notifies an Accessor — in practice the
 // cache simulator from internal/cache — with the address and size of the
-// access. When the cache evicts or flushes a dirty line it asks the heap
-// to write the line back, and the heap copies the covered byte range from
-// the live slice into the image. When the emulated machine crashes, the
-// cache is discarded and the image alone is the recovery state, exactly
-// as on real NVM hardware with volatile caches.
+// access, and the heap counts it as one memory operation, the crash
+// emulator's coordinate system. When the cache evicts or flushes a dirty
+// line it asks the heap to write the line back, and the heap copies the
+// covered byte range from the live slice into the image. When the
+// emulated machine crashes, the cache is discarded and the image alone
+// is the recovery state, exactly as on real NVM hardware with volatile
+// caches.
 //
 // The correctness of this metadata-only design rests on a single-core
 // write-back cache invariant: a resident line always holds the most
@@ -44,6 +46,9 @@ type Accessor interface {
 	Load(a Addr, size int)
 	// Store records a write of size bytes at address a.
 	Store(a Addr, size int)
+	// LoadEach records the 8-byte reads at base+8*idx[k] for each k in
+	// order: exactly what one Load(base+8*idx[k], 8) per index records.
+	LoadEach(base Addr, idx []int64)
 }
 
 // NullAccessor ignores all accesses. It is the accessor of a heap whose
@@ -55,6 +60,9 @@ func (NullAccessor) Load(Addr, int) {}
 
 // Store implements Accessor.
 func (NullAccessor) Store(Addr, int) {}
+
+// LoadEach implements Accessor.
+func (NullAccessor) LoadEach(Addr, []int64) {}
 
 // Region is the common interface of all typed memory regions.
 type Region interface {
@@ -118,6 +126,14 @@ type Heap struct {
 	// imgMarks memoizes, per region, the last RestoreImages source entry
 	// so repeated restores of the same snapshot skip untouched regions.
 	imgMarks []imgMark
+	// ops counts simulated memory operations: one per region accessor
+	// call (a range counts once, a gather once per index). When ops
+	// reaches stopAt, onStop runs before that operation reaches acc —
+	// the hook the crash emulator schedules its op-count points on. A
+	// stopAt below 1 never fires.
+	ops    int64
+	stopAt int64
+	onStop func()
 }
 
 // NewHeap returns an empty heap whose accesses are observed by acc.
@@ -130,9 +146,16 @@ func NewHeap(acc Accessor) *Heap {
 	return &Heap{next: LineSize, acc: acc}
 }
 
-// SetAccessor replaces the heap's access observer. This is used when an
-// emulated machine restarts after a crash with a cold cache, and by the
-// crash emulator to interpose instruction counting.
+// NewHeapWith returns an empty heap observed by the accessor newAcc
+// builds for it — the cache simulator, which writes dirty lines back
+// into the heap it observes, needs the heap before the heap can have it.
+func NewHeapWith(newAcc func(*Heap) Accessor) *Heap {
+	h := NewHeap(nil)
+	h.SetAccessor(newAcc(h))
+	return h
+}
+
+// SetAccessor replaces the heap's access observer.
 func (h *Heap) SetAccessor(acc Accessor) {
 	if acc == nil {
 		acc = NullAccessor{}
@@ -142,6 +165,48 @@ func (h *Heap) SetAccessor(acc Accessor) {
 
 // Accessor returns the heap's current access observer.
 func (h *Heap) Accessor() Accessor { return h.acc }
+
+// Ops returns the number of memory operations counted since the last
+// ResetOps.
+func (h *Heap) Ops() int64 { return h.ops }
+
+// ResetOps restarts the operation count from zero.
+func (h *Heap) ResetOps() { h.ops = 0 }
+
+// SetStop schedules fn to run when the operation count reaches at: after
+// the count, before that operation reaches the accessor. fn may panic or
+// call SetStop again; at < 1 clears the stop.
+func (h *Heap) SetStop(at int64, fn func()) { h.stopAt, h.onStop = at, fn }
+
+// count counts one memory operation.
+func (h *Heap) count() {
+	h.ops++
+	if h.ops == h.stopAt {
+		h.onStop()
+	}
+}
+
+// gather counts and bills the 8-byte loads at base+8*idx[k], one
+// operation per index, handing the accessor one LoadEach per stretch
+// between stops: the loads before a stop reach it, then the stop fires,
+// then the load it fired on.
+func (h *Heap) gather(base Addr, idx []int64) {
+	for len(idx) > 0 {
+		k := h.stopAt - h.ops - 1 // idx[k] is the stopping operation
+		if k < 0 || k >= int64(len(idx)) {
+			h.ops += int64(len(idx))
+			h.acc.LoadEach(base, idx)
+			return
+		}
+		if k > 0 {
+			h.ops += k
+			h.acc.LoadEach(base, idx[:k])
+		}
+		h.count()
+		h.acc.Load(base+Addr(8*idx[k]), 8)
+		idx = idx[k+1:]
+	}
+}
 
 // reserve claims size bytes (rounded up to a whole number of lines) and
 // returns the base address.
@@ -383,15 +448,39 @@ func (r *F64) Addr(i int) Addr { return r.base + Addr(8*i) }
 
 // At performs a simulated load of element i and returns its live value.
 func (r *F64) At(i int) float64 {
-	r.h.acc.Load(r.Addr(i), 8)
+	h := r.h
+	h.count()
+	h.acc.Load(r.Addr(i), 8)
 	return r.live[i]
 }
 
 // Set performs a simulated store of v into element i.
 func (r *F64) Set(i int, v float64) {
-	r.h.acc.Store(r.Addr(i), 8)
+	h := r.h
+	h.count()
+	h.acc.Store(r.Addr(i), 8)
 	r.liveVer++
 	r.live[i] = v
+}
+
+// Gather performs a simulated load of element off+idx[k] for each k in
+// order and appends the live values to dst. Its operations, access
+// stream and panics are those of one At per index — including an index
+// out of range, which panics after its wild load was billed — but the
+// loads reach the accessor in one LoadEach call per stretch between
+// heap stops.
+func (r *F64) Gather(dst []float64, off int, idx []int64) []float64 {
+	live, base := r.live, r.Addr(off)
+	for k, j := range idx {
+		i := off + int(j)
+		if uint(i) >= uint(len(live)) {
+			r.h.gather(base, idx[:k+1])
+			return append(dst, live[i])
+		}
+		dst = append(dst, live[i])
+	}
+	r.h.gather(base, idx)
+	return dst
 }
 
 // LoadRange performs a simulated load of elements [i, i+n) and returns
@@ -410,7 +499,9 @@ func (r *F64) Set(i int, v float64) {
 func (r *F64) LoadRange(i, n int) []float64 {
 	s := r.live[i : i+n]
 	if n > 0 {
-		r.h.acc.Load(r.Addr(i), 8*n)
+		h := r.h
+		h.count()
+		h.acc.Load(r.Addr(i), 8*n)
 	}
 	return s
 }
@@ -420,7 +511,9 @@ func (r *F64) LoadRange(i, n int) []float64 {
 func (r *F64) StoreRange(i, n int) []float64 {
 	s := r.live[i : i+n]
 	if n > 0 {
-		r.h.acc.Store(r.Addr(i), 8*n)
+		h := r.h
+		h.count()
+		h.acc.Store(r.Addr(i), 8*n)
 	}
 	r.liveVer++
 	return s
@@ -503,13 +596,17 @@ func (r *I64) Addr(i int) Addr { return r.base + Addr(8*i) }
 
 // At performs a simulated load of element i and returns its live value.
 func (r *I64) At(i int) int64 {
-	r.h.acc.Load(r.Addr(i), 8)
+	h := r.h
+	h.count()
+	h.acc.Load(r.Addr(i), 8)
 	return r.live[i]
 }
 
 // Set performs a simulated store of v into element i.
 func (r *I64) Set(i int, v int64) {
-	r.h.acc.Store(r.Addr(i), 8)
+	h := r.h
+	h.count()
+	h.acc.Store(r.Addr(i), 8)
 	r.liveVer++
 	r.live[i] = v
 }
@@ -519,7 +616,9 @@ func (r *I64) Set(i int, v int64) {
 func (r *I64) LoadRange(i, n int) []int64 {
 	s := r.live[i : i+n]
 	if n > 0 {
-		r.h.acc.Load(r.Addr(i), 8*n)
+		h := r.h
+		h.count()
+		h.acc.Load(r.Addr(i), 8*n)
 	}
 	return s
 }
@@ -529,7 +628,9 @@ func (r *I64) LoadRange(i, n int) []int64 {
 func (r *I64) StoreRange(i, n int) []int64 {
 	s := r.live[i : i+n]
 	if n > 0 {
-		r.h.acc.Store(r.Addr(i), 8*n)
+		h := r.h
+		h.count()
+		h.acc.Store(r.Addr(i), 8*n)
 	}
 	r.liveVer++
 	return s

@@ -1,7 +1,10 @@
 package mem
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -18,6 +21,11 @@ type accessRec struct {
 
 func (r *recordingAccessor) Load(a Addr, size int)  { r.loads = append(r.loads, accessRec{a, size}) }
 func (r *recordingAccessor) Store(a Addr, size int) { r.stores = append(r.stores, accessRec{a, size}) }
+func (r *recordingAccessor) LoadEach(base Addr, idx []int64) {
+	for _, j := range idx {
+		r.Load(base+Addr(8*j), 8)
+	}
+}
 
 func TestLineAddr(t *testing.T) {
 	cases := []struct{ in, want Addr }{
@@ -359,5 +367,82 @@ func TestLineWords(t *testing.T) {
 	}
 	if n := h.LineWords(f.Base()+8, &live, &image); n != 0 {
 		t.Errorf("unaligned line address maps %d words, want 0", n)
+	}
+}
+
+// gatherTrace is what a reader of one region observes through a heap:
+// the accessor stream, the stream position at every stop, the op count,
+// the values read and how the read ended.
+type gatherTrace struct {
+	loads []accessRec
+	stops []int
+	ops   int64
+	vals  []float64
+	fault string
+}
+
+// TestGatherMatchesAt: Gather is one At per index. Random index vectors
+// with repeats — some with an index below 0 or past the region at a
+// random position, some read across two heap stops, the second of which
+// may panic like a crash — must yield the At loop's (addr, size) stream,
+// stop instants, op count, values and panic.
+func TestGatherMatchesAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 2000; trial++ {
+		n, off := 1+rng.Intn(40), rng.Intn(4)
+		idx := make([]int64, rng.Intn(30))
+		for k := range idx {
+			idx[k] = int64(rng.Intn(n - min(off, n-1)))
+		}
+		if len(idx) > 0 && rng.Intn(3) == 0 {
+			wild := []int{-1, n, n + rng.Intn(1000), -1 - rng.Intn(1000)}[rng.Intn(4)]
+			idx[rng.Intn(len(idx))] = int64(wild - off)
+		}
+		stops := []int64{1 + rng.Int63n(int64(len(idx)+2)), 0}
+		stops[1] = stops[0] + 1 + rng.Int63n(int64(len(idx)+2))
+		crashAtSecond := rng.Intn(2) == 0
+
+		read := func(gather bool) gatherTrace {
+			rec := &recordingAccessor{}
+			h := NewHeap(rec)
+			r := h.AllocF64("x", n)
+			for i := range r.live {
+				r.live[i] = float64(i) + 0.5
+			}
+			var tr gatherTrace
+			var stop func()
+			stop = func() {
+				tr.stops = append(tr.stops, len(rec.loads))
+				if len(tr.stops) == 2 && crashAtSecond {
+					panic("crash")
+				}
+				h.SetStop(stops[len(tr.stops)%2], stop)
+			}
+			h.SetStop(stops[0], stop)
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						tr.fault = fmt.Sprint(p)
+					}
+				}()
+				if gather {
+					tr.vals = r.Gather([]float64{-1}, off, idx)
+					return
+				}
+				tr.vals = []float64{-1}
+				for _, j := range idx {
+					tr.vals = append(tr.vals, r.At(off+int(j)))
+				}
+			}()
+			if tr.fault != "" {
+				tr.vals = nil
+			}
+			tr.loads, tr.ops = rec.loads, h.Ops()
+			return tr
+		}
+		if at, g := read(false), read(true); !reflect.DeepEqual(at, g) {
+			t.Fatalf("trial %d: off %d idx %v over %d elements, stops %v (crash at second: %v)\nAt loop: %+v\nGather:  %+v",
+				trial, off, idx, n, stops, crashAtSecond, at, g)
+		}
 	}
 }

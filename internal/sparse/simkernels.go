@@ -12,6 +12,9 @@ type SimCSR struct {
 	RowPtr *mem.I64
 	Col    *mem.I64
 	Val    *mem.F64
+
+	// xs is SpMV's buffer for one row's gathered x values.
+	xs []float64
 }
 
 // NewSimCSR uploads a native CSR matrix into heap regions and marks the
@@ -43,8 +46,9 @@ func (a *SimCSR) Bytes() int {
 // the simulated memory system, charging 2 flops per nonzero to the CPU.
 // The simulated access stream (row-pointer pair, column range, value
 // range, one x load per nonzero, one dst store) is part of the model
-// and must not change; the host-side loop hoists the region handles
-// and slices cols/vals to a common length for bounds-check elimination.
+// and must not change; the x loads are one Gather per row, and the
+// host-side loop slices vals to the gathered length for bounds-check
+// elimination.
 func (a *SimCSR) SpMV(cpu *sim.CPU, dst *mem.F64, dstOff int, x *mem.F64, xOff int) {
 	rowPtr, col, val := a.RowPtr, a.Col, a.Val
 	for i := 0; i < a.N; i++ {
@@ -53,12 +57,14 @@ func (a *SimCSR) SpMV(cpu *sim.CPU, dst *mem.F64, dstOff int, x *mem.F64, xOff i
 		nnz := end - start
 		cols := col.LoadRange(start, nnz)
 		vals := val.LoadRange(start, nnz)
-		if len(vals) > len(cols) {
-			vals = vals[:len(cols)]
+		xs := x.Gather(a.xs[:0], xOff, cols)
+		a.xs = xs
+		if len(vals) > len(xs) {
+			vals = vals[:len(xs)]
 		}
 		sum := 0.0
-		for k, c := range cols {
-			sum += vals[k] * x.At(xOff+int(c))
+		for k, xv := range xs {
+			sum += vals[k] * xv
 		}
 		dst.Set(dstOff+i, sum)
 		cpu.Compute(int64(2 * nnz))
