@@ -73,6 +73,10 @@ func main() {
 		storePath = flag.String("store", "", "write the campaign experiment's raw per-injection rows to a columnar result store at this path (query with adccquery)")
 	)
 	flag.Parse()
+	if !(*scale > 0) { // NaN too
+		fmt.Fprintf(os.Stderr, "adccbench: -scale must be positive, got %g\n", *scale)
+		os.Exit(2)
+	}
 
 	if *listOnly {
 		for _, e := range adcc.Experiments() {

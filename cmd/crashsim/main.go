@@ -1,35 +1,24 @@
-// Command crashsim is the standalone crash emulator of paper §III-A: it
-// runs one of the study workloads (cg, mm, mc, or the stencil and kvlog
-// extension families) on the simulated NVM platform,
-// injects a crash at a chosen execution point (a named program point
-// occurrence or an absolute memory-operation count), and reports the
-// consistency state of every memory region at the crash — which lines
-// were still dirty in the volatile cache (lost) and what recovery
-// concludes from the persistent image. It is built entirely on the
-// public pkg/adcc API.
+// Command crashsim is the standalone crash emulator of paper §III-A. It
+// builds any workload of the table (cg, mm, mc, stencil, kvlog) under
+// algo-NVM-only on the simulated NVM platform, crashes it once — at the
+// middle firing of its most frequent trigger unless -occurrence or
+// -crash-op says otherwise — and prints which lines of every region were
+// still dirty in the volatile cache (lost). It then recovers from the
+// persistent image, resumes, prints the workload's metrics, and
+// verifies. A panic in recovery or resumption prints "unrecoverable: …";
+// the exit code is 1 only when the run fails under clean fail-stop.
 //
-// Usage:
+//	crashsim -workload cg
+//	crashsim -workload mm -scale 1 -occurrence 4
+//	crashsim -workload mc -crash-op 20000 -fault torn
 //
-//	crashsim -workload cg -n 6000 -occurrence 15
-//	crashsim -workload mm -n 400 -loop 2 -occurrence 4
-//	crashsim -workload mc -lookups 50000 -crash-op 2000000
-//	crashsim -workload stencil -n 160 -occurrence 10
-//	crashsim -workload kvlog -occurrence 400
+// With -campaign it instead sweeps the workload through the statistical
+// fault-injection campaign across every supported scheme and both
+// platforms, printing the survival table (-json and -store write the
+// report and the raw rows). -scale sizes both modes; -fault takes one
+// model in single-point mode and a comma-separated list with -campaign:
 //
-// With -campaign, crashsim instead sweeps the selected workload through
-// the statistical fault-injection campaign across every supported
-// scheme and both platforms, printing the per-scheme survival table
-// (and the full enveloped JSON report with -json):
-//
-//	crashsim -workload mc -campaign -campaign-scale 0.1 -parallel 4
-//	crashsim -workload mc -campaign -store out.adccs   # raw rows, query with adccquery
-//
-// The -fault flag selects crash-time fault/persistency models beyond
-// clean fail-stop (torn line writebacks, eADR cache drain, reordered
-// writebacks, silent bit flips): one model for a single-point run, a
-// comma-separated sweep list with -campaign:
-//
-//	crashsim -workload cg -occurrence 15 -fault torn
+//	crashsim -workload mc -campaign -scale 0.1 -parallel 4 -store out.adccs
 //	crashsim -workload mc -campaign -fault failstop,torn,eadr,reorder,bitflip
 package main
 
@@ -39,7 +28,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 
 	"adcc/pkg/adcc"
@@ -54,21 +45,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		workload   = fs.String("workload", "cg", "workload: cg, mm, mc, stencil, or kvlog")
-		n          = fs.Int("n", 6000, "problem size (CG order / MM dimension / stencil grid, default 160 for stencil)")
-		k          = fs.Int("k", 0, "MM rank (default n/10)")
-		loop       = fs.Int("loop", 1, "MM loop to crash in (1 or 2)")
-		lookups    = fs.Int("lookups", 50_000, "MC lookup count")
-		occurrence = fs.Int("occurrence", 15, "crash at this occurrence of the workload's iteration-end point")
+		scale      = fs.Float64("scale", 0.1, "problem-size scale (1.0 = paper shape); with -campaign also the sweep density")
+		occurrence = fs.Int("occurrence", 0, "crash at this firing of the workload's most frequent trigger (default: the middle firing)")
 		crashOp    = fs.Int64("crash-op", 0, "crash after this many memory operations (overrides -occurrence)")
 		faultFlag  = fs.String("fault", "", "crash-time fault models (failstop, torn, eadr, reorder, bitflip): one model in single-point mode, a comma-separated sweep list with -campaign")
 		llcKB      = fs.Int("llc", 2048, "LLC size in KB")
 		hetero     = fs.Bool("hetero", false, "use the heterogeneous NVM/DRAM system")
 
-		campaignMode  = fs.Bool("campaign", false, "sweep the workload through the fault-injection campaign instead of one crash point")
-		campaignScale = fs.Float64("campaign-scale", 0.1, "with -campaign: problem-size and sweep-density scale")
-		parallel      = fs.Int("parallel", 1, "with -campaign: max concurrent cells (report identical at any setting)")
-		jsonPath      = fs.String("json", "", "with -campaign: write the machine-readable campaign report to this file")
-		storePath     = fs.String("store", "", "with -campaign: write every injection's raw outcome row to a columnar result store at this path (query with adccquery)")
+		campaignMode = fs.Bool("campaign", false, "sweep the workload through the fault-injection campaign instead of one crash point")
+		parallel     = fs.Int("parallel", 1, "with -campaign: max concurrent cells (report identical at any setting)")
+		jsonPath     = fs.String("json", "", "with -campaign: write the machine-readable campaign report to this file")
+		storePath    = fs.String("store", "", "with -campaign: write every injection's raw outcome row to a columnar result store at this path (query with adccquery)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -83,35 +70,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if !(*scale > 0) {
+		return usage("-scale must be positive, got %g", *scale)
+	}
 
 	if *campaignMode {
 		// The campaign builds its own machines and sweeps its own crash
 		// points; single-point flags would be silently ignored, so
 		// reject them instead.
-		for _, name := range []string{"n", "k", "loop", "lookups", "occurrence", "crash-op", "llc", "hetero"} {
+		for _, name := range []string{"occurrence", "crash-op", "llc", "hetero"} {
 			if set[name] {
-				fmt.Fprintf(stderr, "crashsim: -%s applies to single-point mode and is ignored by -campaign (the campaign sweeps both platforms with its own sizes); drop it\n", name)
+				fmt.Fprintf(stderr, "crashsim: -%s applies to single-point mode and is ignored by -campaign (the campaign sweeps both platforms with its own cache and crash points); drop it\n", name)
 				return 2
 			}
 		}
-		return runCampaign(stdout, stderr, *workload, *campaignScale, *parallel, *jsonPath, *storePath, faultNames(*faultFlag))
+		return runCampaign(stdout, stderr, *workload, *scale, *parallel, *jsonPath, *storePath, faultNames(*faultFlag))
 	}
 
 	switch {
-	case *occurrence < 1:
-		return usage("-occurrence must be at least 1 (occurrences are 1-based), got %d", *occurrence)
 	case *crashOp < 0:
 		return usage("-crash-op must not be negative, got %d", *crashOp)
-	case *loop != 1 && *loop != 2:
-		return usage("-loop must be 1 or 2, got %d", *loop)
-	case *n < 1:
-		return usage("-n must be positive, got %d", *n)
-	case *k < 0:
-		return usage("-k must not be negative, got %d", *k)
-	case *k > *n:
-		return usage("-k must not exceed -n (%d), got %d", *n, *k)
-	case *lookups < 1:
-		return usage("-lookups must be positive, got %d", *lookups)
 	case *llcKB < 1:
 		return usage("-llc must be positive, got %d", *llcKB)
 	}
@@ -130,126 +108,82 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	reg := adcc.NewRegistry()
+	spec, ok := reg.Workload(*workload)
+	if !ok {
+		fmt.Fprintf(stderr, "crashsim: unknown workload %q (have %s)\n", *workload, strings.Join(reg.WorkloadNames(), ", "))
+		return 2
+	}
+	sc := reg.MustScheme(adcc.SchemeAlgoNVM)
 	kind := adcc.NVMOnly
 	if *hetero {
 		kind = adcc.Hetero
 	}
-	reg := adcc.NewRegistry()
-	m := adcc.NewMachine(adcc.MachineConfig{
-		System: kind,
-		Cache: adcc.CacheConfig{
-			SizeBytes:         *llcKB << 10,
-			LineBytes:         64,
-			Assoc:             16,
-			HitNS:             4,
-			FlushChargesClean: true,
-			PrefetchStreams:   16,
-			// eADR keeps the LLC in the persistence domain, so flushes
-			// cost a hit and the crash drains dirty lines.
-			FlushFree: fault.Kind == adcc.EADR,
-		},
-	})
-	em := adcc.NewEmulator(m)
-	if err := em.SetFault(fault); err != nil {
-		fmt.Fprintf(stderr, "crashsim: %v\n", err)
-		return 2
+	// newEmulator builds a fresh machine and a crash emulator on it.
+	newEmulator := func() *adcc.Emulator {
+		return adcc.NewEmulator(adcc.NewMachine(adcc.MachineConfig{
+			System: kind,
+			Cache: adcc.CacheConfig{
+				SizeBytes:         *llcKB << 10,
+				LineBytes:         64,
+				Assoc:             16,
+				HitNS:             4,
+				FlushChargesClean: true,
+				PrefetchStreams:   16,
+				// eADR keeps the LLC in the persistence domain, so flushes
+				// cost a hit and the crash drains dirty lines.
+				FlushFree: fault.Kind == adcc.EADR,
+			},
+		}))
 	}
+	// prepared builds a fresh instance of the workload bound to em.
+	prepared := func(em *adcc.Emulator) (adcc.Workload, error) {
+		w, err := spec.New(sc, *scale)
+		if err == nil {
+			err = w.Prepare(em.M, em)
+		}
+		return w, err
+	}
+
+	// One instance profiles an uncrashed run to learn the crash-point
+	// space; a second, on its own machine, is crashed.
+	pem, em := newEmulator(), newEmulator()
+	var pw, w adcc.Workload
+	err := em.SetFault(fault)
+	if err == nil {
+		pw, err = prepared(pem)
+	}
+	if err == nil {
+		w, err = prepared(em)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "crashsim: %s: %v\n", *workload, err)
+		return 1
+	}
+	prof := pem.Profile(func() { pw.Run(pw.Start()) })
+	trig := prof.MainTrigger()
+	pt := adcc.CrashPoint{Trigger: trig.Name, Occurrence: (trig.Count + 1) / 2}
+	if set["occurrence"] {
+		pt.Occurrence = *occurrence
+	}
+	switch {
+	case *crashOp > prof.Ops:
+		return usage("-crash-op must not exceed the run's %d memory operations, got %d", prof.Ops, *crashOp)
+	case (set["occurrence"] || *crashOp == 0) && (pt.Occurrence < 1 || pt.Occurrence > trig.Count):
+		return usage("-occurrence must be in [1, %d] (the firings of %q), got %d", trig.Count, trig.Name, pt.Occurrence)
+	}
+	if *crashOp > 0 {
+		pt = adcc.CrashPoint{Op: *crashOp}
+	}
+	fmt.Fprintf(stdout, "%s under %s at scale %g: %d ops, %d firings of %q; crashing at %s\n",
+		*workload, sc.Name(), *scale, prof.Ops, trig.Count, trig.Name, pt)
+
 	em.OnCrash = func(m *adcc.Machine) {
 		fmt.Fprintf(stdout, "--- crash fired (op %d, trigger %q) ---\n", em.OpCount(), em.CrashTrigger())
 		reportCacheState(stdout, m)
 	}
-
-	var work func()
-	var recover func()
-	switch *workload {
-	case "cg":
-		a := adcc.GenSPD(*n, 9, 1)
-		cg := adcc.NewCG(m, em, a, adcc.CGOptions{MaxIter: *occurrence})
-		em.CrashAtTrigger(adcc.TriggerCGIterEnd, *occurrence)
-		work = func() { cg.Run(1) }
-		recover = func() {
-			rec := cg.Recover()
-			fmt.Fprintf(stdout, "recovery: crash iter %d, restart iter %d, iterations lost %d (checked %d candidates)\n",
-				rec.CrashIter, rec.RestartIter, rec.IterationsLost, rec.Checked)
-		}
-	case "mm":
-		kk := *k
-		if kk == 0 {
-			kk = max(*n/10, 1)
-		}
-		mm := adcc.NewMM(m, em, adcc.MMOptions{N: (*n / kk) * kk, K: kk, Seed: 1})
-		trig := adcc.TriggerMMLoop1IterEnd
-		if *loop == 2 {
-			trig = adcc.TriggerMMLoop2IterEnd
-		}
-		em.CrashAtTrigger(trig, *occurrence)
-		work = mm.Run
-		recover = func() {
-			rec := mm.RecoverLoop1()
-			fmt.Fprintf(stdout, "recovery (loop 1 temporal matrices):\n")
-			for s, st := range rec.Status {
-				fmt.Fprintf(stdout, "  Ctemp[%d]: %s\n", s, st)
-			}
-			if *loop == 2 {
-				rec2 := mm.RecoverLoop2()
-				fmt.Fprintf(stdout, "recovery (loop 2 row blocks):\n")
-				for b, st := range rec2.Status {
-					fmt.Fprintf(stdout, "  block[%d]: %s\n", b, st)
-				}
-			}
-		}
-	case "mc":
-		s := adcc.NewMCSim(m, adcc.MCConfig{
-			Nuclides: 34, PointsPerNuclide: 500, Lookups: *lookups, Seed: 42,
-		})
-		r := adcc.NewMCRunner(m, em, s, reg.MustScheme(adcc.SchemeAlgoNVM))
-		em.CrashAtTrigger(adcc.TriggerMCLookup, *occurrence)
-		work = func() { r.Run(0) }
-		recover = func() {
-			fmt.Fprintf(stdout, "recovery: restart at lookup %d; persistent counters %v\n",
-				r.RestartIter(), s.CountsImage())
-		}
-	case "stencil":
-		// The grid history is quadratic in n; the CG-sized default would
-		// allocate hundreds of megabytes, so stencil gets its own.
-		dim := 160
-		if set["n"] {
-			dim = *n
-		}
-		h := adcc.NewHeat(m, em, adcc.HeatOptions{N: dim, MaxIter: *occurrence + 2, Seed: 21})
-		em.CrashAtTrigger(adcc.TriggerStencilIterEnd, *occurrence)
-		work = func() { h.Run(1) }
-		recover = func() {
-			rec := h.Recover()
-			fmt.Fprintf(stdout, "recovery: crash sweep %d, restart sweep %d, sweeps lost %d (checked %d plane pairs)\n",
-				rec.CrashIter, rec.RestartIter, rec.IterationsLost, rec.Checked)
-		}
-	case "kvlog":
-		// -occurrence counts served requests; size the stream past it.
-		s := adcc.NewKVLogStore(m, em, adcc.KVLogOptions{
-			Requests: *occurrence + 100, KeySpace: 256, Seed: 33,
-		})
-		em.CrashAtTrigger(adcc.TriggerKVLogReqEnd, *occurrence)
-		work = func() { s.Run(1) }
-		recover = func() {
-			rec, from, err := s.Recover()
-			if err != nil {
-				fmt.Fprintf(stdout, "recovery: detected corruption: %v\n", err)
-				return
-			}
-			fmt.Fprintf(stdout, "recovery: high-water mark %d log words, %d records replayed into a cleared index, resume at request %d\n",
-				rec.LogWords, rec.Replayed, from)
-		}
-	default:
-		fmt.Fprintf(stderr, "crashsim: unknown workload %q\n", *workload)
-		return 2
-	}
-
-	if *crashOp > 0 {
-		em.CrashAtTrigger("", 0) // disarm trigger
-		em.CrashAtOp(*crashOp)
-	}
-	if !em.Run(work) {
+	em.Arm(pt)
+	if !em.Run(func() { w.Run(w.Start()) }) {
 		fmt.Fprintln(stdout, "workload completed without reaching the crash point")
 		return 0
 	}
@@ -257,9 +191,55 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "fault model fell back to fail-stop: %v\n", err)
 	}
 	fmt.Fprintf(stdout, "--- post-crash (restarted from NVM image) ---\n")
-	recover()
-	fmt.Fprintf(stdout, "simulated time at exit: %.3f ms\n", float64(m.Clock.Now())/1e6)
+	em.Disarm()
+	verified := recoverAndResume(stdout, w)
+	fmt.Fprintf(stdout, "simulated time at exit: %.3f ms\n", float64(em.M.Clock.Now())/1e6)
+	if !verified && fault.Kind == adcc.FailStop {
+		fmt.Fprintf(stderr, "crashsim: %s failed to recover under fail-stop\n", *workload)
+		return 1
+	}
 	return 0
+}
+
+// recoverAndResume takes a crashed workload through recovery, the
+// resumed run, and verification, printing each step, and reports whether
+// the result verified. A recovery error or a panic in recovery or
+// resumption prints as unrecoverable, a panic in Verify as corrupt — the
+// campaign's classification — never as a goroutine dump.
+func recoverAndResume(out io.Writer, w adcc.Workload) bool {
+	var from int64
+	err := contained(func() (err error) {
+		from, err = w.Recover()
+		return err
+	})
+	if err == nil {
+		fmt.Fprintf(out, "recovery: resume from %d\n", from)
+		err = contained(func() error { w.Run(from); return nil })
+	}
+	if err != nil {
+		fmt.Fprintf(out, "unrecoverable: %v\n", err)
+		return false
+	}
+	metrics := w.Metrics()
+	for _, k := range slices.Sorted(maps.Keys(metrics)) {
+		fmt.Fprintf(out, "metric %s = %g\n", k, metrics[k])
+	}
+	if err := contained(w.Verify); err != nil {
+		fmt.Fprintf(out, "result: corrupt: %v\n", err)
+		return false
+	}
+	fmt.Fprintln(out, "result: verified")
+	return true
+}
+
+// contained calls f, converting a panic into an error.
+func contained(f func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return f()
 }
 
 // faultNames splits a -fault flag value into model names.

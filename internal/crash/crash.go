@@ -511,21 +511,28 @@ func (e *Emulator) Profile(workload func()) RunProfile {
 	return p
 }
 
-// MainTriggerOps estimates the op cost of one main-loop iteration: the
-// total op count divided by the occurrence count of the most frequent
-// trigger. Campaigns use it as the granularity against which rework is
-// judged. Returns Ops when the profile saw no triggers.
-func (p RunProfile) MainTriggerOps() int64 {
-	max := 0
+// MainTrigger returns the most frequent trigger, the workload's main
+// loop; on a tie the first listed, which for a Profile result is the
+// first by name. It is zero when no trigger has a positive count.
+func (p RunProfile) MainTrigger() TriggerCount {
+	var main TriggerCount
 	for _, t := range p.Triggers {
-		if t.Count > max {
-			max = t.Count
+		if t.Count > main.Count {
+			main = t
 		}
 	}
-	if max == 0 {
-		return p.Ops
+	return main
+}
+
+// MainTriggerOps estimates the op cost of one main-loop iteration: the
+// total op count divided by the main trigger's occurrence count.
+// Campaigns use it as the granularity against which rework is judged.
+// Returns Ops when the profile saw no triggers.
+func (p RunProfile) MainTriggerOps() int64 {
+	if n := p.MainTrigger().Count; n > 0 {
+		return p.Ops / int64(n)
 	}
-	return p.Ops / int64(max)
+	return p.Ops
 }
 
 // Points enumerates n deterministic crash points from the profile under

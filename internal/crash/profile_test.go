@@ -40,6 +40,31 @@ func TestProfileCountsOpsAndTriggers(t *testing.T) {
 	}
 }
 
+// TestMainTrigger: the most frequent trigger wins, the first by name on
+// a tie; an empty profile has a zero main trigger; and MainTriggerOps
+// divides by its count exactly as before.
+func TestMainTrigger(t *testing.T) {
+	for _, tc := range []struct {
+		p    RunProfile
+		main TriggerCount
+		ops  int64
+	}{
+		{RunProfile{}, TriggerCount{}, 0},
+		{RunProfile{Ops: 77}, TriggerCount{}, 77},
+		{RunProfile{Ops: 77, Triggers: []TriggerCount{{Name: "z", Count: 0}}}, TriggerCount{}, 77},
+		{RunProfile{Ops: 50, Triggers: []TriggerCount{{Name: "done", Count: 1}, {Name: "iter", Count: 5}}}, TriggerCount{Name: "iter", Count: 5}, 10},
+		{RunProfile{Ops: 99, Triggers: []TriggerCount{{Name: "a", Count: 4}, {Name: "b", Count: 4}, {Name: "c", Count: 2}}}, TriggerCount{Name: "a", Count: 4}, 24},
+		{RunProfile{Ops: 7, Triggers: []TriggerCount{{Name: "x", Count: 9}}}, TriggerCount{Name: "x", Count: 9}, 0},
+	} {
+		if got := tc.p.MainTrigger(); got != tc.main {
+			t.Errorf("%+v: MainTrigger = %+v, want %+v", tc.p, got, tc.main)
+		}
+		if got := tc.p.MainTriggerOps(); got != tc.ops {
+			t.Errorf("%+v: MainTriggerOps = %d, want %d", tc.p, got, tc.ops)
+		}
+	}
+}
+
 func TestProfilePreservesArmedPoint(t *testing.T) {
 	m := NewMachine(MachineConfig{})
 	e := NewEmulator(m)

@@ -120,8 +120,6 @@ const (
 	TriggerCGIterEnd = core.TriggerCGIterEnd
 	// TriggerMMLoop1IterEnd fires after each submatrix multiplication.
 	TriggerMMLoop1IterEnd = core.TriggerMMLoop1IterEnd
-	// TriggerMMLoop2IterEnd fires after each submatrix addition block.
-	TriggerMMLoop2IterEnd = core.TriggerMMLoop2IterEnd
 	// TriggerMCLookup fires after each Monte-Carlo lookup.
 	TriggerMCLookup = core.TriggerMCLookup
 	// TriggerStencilIterEnd fires at the end of each stencil sweep.

@@ -10,16 +10,15 @@ import (
 	"adcc/internal/stencil"
 )
 
-// This file re-exports the paper's three study workloads — the extended
-// (algorithm-directed) implementations, their conventional-mechanism
-// baselines, the engine.Workload adapters — and the pure input
-// generators the examples build their problems with.
+// This file re-exports the paper's three study workloads and the two
+// extension families — the extended (algorithm-directed)
+// implementations and their conventional-mechanism baselines — and the
+// pure input generators the examples build their problems with.
 
 // Workload is a crash-consistence study: a computation that can run
 // from an iteration boundary, recover after a crash, and verify its
 // result. Custom workloads implement it and register a WorkloadSpec on
-// a Registry; the built-in implementations are CGWorkload, MMWorkload,
-// MCWorkload and their baseline counterparts.
+// a Registry; Registry.Workload builds the built-in ones by name.
 type Workload = engine.Workload
 
 // Guard is the per-run binding of a scheme to a machine: the uniform
@@ -37,16 +36,9 @@ type (
 	CG = core.CG
 	// CGOptions configures a CG solve.
 	CGOptions = core.CGOptions
-	// CGRecovery reports what CG recovery concluded.
-	CGRecovery = core.CGRecovery
 	// BaselineCG is the Figure 1 baseline solver driven through a
 	// conventional scheme's Guard.
 	BaselineCG = core.BaselineCG
-	// CGWorkload adapts the extended solver to the Workload lifecycle.
-	CGWorkload = core.CGWorkload
-	// BaselineCGWorkload adapts the baseline solver to the Workload
-	// lifecycle under a conventional scheme.
-	BaselineCGWorkload = core.BaselineCGWorkload
 )
 
 // NewCG builds the extended crash-consistent CG solver on a machine
@@ -68,28 +60,14 @@ type (
 	MM = core.MM
 	// MMOptions configures a multiplication.
 	MMOptions = core.MMOptions
-	// MMRecovery reports per-block checksum verification results.
-	MMRecovery = core.MMRecovery
 	// BaselineMM is the Figure 5 baseline multiplication.
 	BaselineMM = core.BaselineMM
-	// MMWorkload adapts the extended multiplication to the Workload
-	// lifecycle.
-	MMWorkload = core.MMWorkload
-	// BaselineMMWorkload adapts the baseline multiplication to the
-	// Workload lifecycle under a conventional scheme.
-	BaselineMMWorkload = core.BaselineMMWorkload
 )
 
 // NewMM builds the extended ABFT multiplication on a machine (em may be
 // nil).
 func NewMM(m *Machine, em *Emulator, opts MMOptions) *MM {
 	return core.NewMM(m, em, opts)
-}
-
-// NewBaselineMM builds the Figure 5 baseline multiplication under a
-// conventional scheme (nil means native).
-func NewBaselineMM(m *Machine, opts MMOptions, sc Scheme) *BaselineMM {
-	return core.NewBaselineMM(m, opts, sc)
 }
 
 // Monte-Carlo neutron-transport lookups (paper §III-D).
@@ -118,9 +96,6 @@ func NewMCRunner(m *Machine, em *Emulator, s *MCSim, sc Scheme) *MCRunner {
 	return core.NewMCRunner(m, em, s, sc)
 }
 
-// MCDefaultConfig returns the paper-shape lookup configuration.
-func MCDefaultConfig() MCConfig { return mc.DefaultConfig() }
-
 // MCTinyConfig returns a CI-sized lookup configuration.
 func MCTinyConfig() MCConfig { return mc.TinyConfig() }
 
@@ -142,12 +117,6 @@ type (
 	// BaselineHeat is the conventional ping-pong relaxation driven
 	// through a conventional scheme's Guard.
 	BaselineHeat = stencil.Baseline
-	// HeatWorkload adapts the extended relaxation to the Workload
-	// lifecycle.
-	HeatWorkload = stencil.HeatWorkload
-	// BaselineHeatWorkload adapts the ping-pong relaxation to the
-	// Workload lifecycle under a conventional scheme.
-	BaselineHeatWorkload = stencil.BaselineWorkload
 )
 
 // NewHeat builds the extended algorithm-directed relaxation on a
@@ -177,29 +146,11 @@ type (
 	KVLogStore = kvlog.Store
 	// KVLogOptions configures a request-stream run.
 	KVLogOptions = kvlog.Options
-	// KVLogRequest is one operation of the seeded Zipfian stream.
-	KVLogRequest = kvlog.Request
-	// KVLogOp is a request kind (put, get, delete, scan).
-	KVLogOp = kvlog.Op
 	// KVLogRecovery reports what a log replay concluded.
 	KVLogRecovery = kvlog.Recovery
 	// BaselineKVLogStore is the same store driven through a
 	// conventional scheme's Guard.
 	BaselineKVLogStore = kvlog.Baseline
-	// KVLogWorkload adapts the algorithm-directed store to the Workload
-	// lifecycle.
-	KVLogWorkload = kvlog.StoreWorkload
-	// BaselineKVLogWorkload adapts the store to the Workload lifecycle
-	// under a conventional scheme.
-	BaselineKVLogWorkload = kvlog.BaselineWorkload
-)
-
-// KV request kinds of the seeded stream.
-const (
-	KVLogOpPut  = kvlog.OpPut
-	KVLogOpGet  = kvlog.OpGet
-	KVLogOpDel  = kvlog.OpDel
-	KVLogOpScan = kvlog.OpScan
 )
 
 // NewKVLogStore builds the algorithm-directed store on a machine (em
@@ -214,16 +165,9 @@ func NewBaselineKVLogStore(m *Machine, opts KVLogOptions, sc Scheme) *BaselineKV
 	return kvlog.NewBaseline(m, opts, sc)
 }
 
-// KVLogStream generates the deterministic Zipfian request stream for
-// the given options.
-func KVLogStream(opts KVLogOptions) []KVLogRequest { return kvlog.Stream(opts) }
-
 // KVLogWant computes the final key-value state of the request stream —
 // the family's verification oracle.
 func KVLogWant(opts KVLogOptions) map[int64]int64 { return kvlog.Oracle(opts) }
-
-// KVLogVerify compares a served state against the oracle map.
-func KVLogVerify(got, want map[int64]int64) error { return kvlog.VerifyState(got, want) }
 
 // KVLogThroughput returns the simulated request rate (ops/sec) over
 // recorded per-request latencies.
