@@ -188,6 +188,19 @@ type Cache struct {
 	streams    []uint64
 	nextStream int
 	lastWbLine uint64
+	// streamTies counts the stream lookups two or more streams matched
+	// while countTies is set; see CountStreamTies.
+	streamTies int64
+	countTies  bool
+
+	// lru is AppendLRU's per-set scratch.
+	lru []lruWay
+}
+
+// lruWay is one resident line of a set, as AppendLRU orders it.
+type lruWay struct {
+	use  uint64
+	word uint64
 }
 
 // New constructs a cache simulator. clock and memory must be non-nil;
@@ -556,6 +569,9 @@ func (c *Cache) streamHit(ln uint64) bool {
 	for i, next := range c.streams {
 		if next == ln {
 			c.streams[i] = ln + 1
+			if c.countTies && slices.Contains(c.streams[i+1:], ln) {
+				c.streamTies++
+			}
 			return true
 		}
 	}
@@ -736,6 +752,78 @@ func (c *Cache) ResetVolatile() {
 	c.nextStream = 0
 	c.lastWbLine = 0
 }
+
+// AppendLRU appends the line directory in canonical form: set by set in
+// set order, each set's resident lines from least to most recently used,
+// as line<<1 | dirty. Two caches of one geometry with equal canonical
+// forms evict, write back and hit identically on any access sequence:
+// victim choice depends on the LRU order within a set, never on which way
+// holds a line or on the absolute use ticks. Each line's set follows from
+// the line, so set boundaries need no encoding.
+func (c *Cache) AppendLRU(dst []uint64) []uint64 {
+	assoc := c.cfg.Assoc
+	for base := 0; base < len(c.ways); base += assoc {
+		// Every valid way was marked in fillBits when it filled, so only
+		// the marked ways of the set are read.
+		set := c.lru[:0]
+		for lo, hi := base, base+assoc; lo < hi; {
+			n := min(64-lo&63, hi-lo)
+			word := c.fillBits[lo>>6] >> (lo & 63)
+			if n < 64 {
+				word &= 1<<n - 1
+			}
+			for ; word != 0; word &= word - 1 {
+				if w := &c.ways[lo+bits.TrailingZeros64(word)]; w.valid {
+					word := w.tag << 1
+					if w.dirty {
+						word |= 1
+					}
+					set = append(set, lruWay{use: w.use, word: word})
+				}
+			}
+			lo += n
+		}
+		// Insertion sort: a set holds at most assoc lines.
+		for i := 1; i < len(set); i++ {
+			for j := i; j > 0 && set[j].use < set[j-1].use; j-- {
+				set[j], set[j-1] = set[j-1], set[j]
+			}
+		}
+		for _, w := range set {
+			dst = append(dst, w.word)
+		}
+		c.lru = set
+	}
+	return dst
+}
+
+// AppendPrefetch appends the prefetcher's state in canonical form: the
+// tracked stream heads rotated to start at the next replacement slot,
+// then the write-combining memo. Rotation drops the slot positions,
+// which differ between two runs that trained different stream counts;
+// it is exact as long as no lookup matches two streams (see
+// StreamTies), because only the first match by slot position advances.
+func (c *Cache) AppendPrefetch(dst []uint64) []uint64 {
+	dst = append(dst, c.streams[c.nextStream:]...)
+	dst = append(dst, c.streams[:c.nextStream]...)
+	return append(dst, c.lastWbLine)
+}
+
+// NextStream returns the prefetcher slot the next trained stream
+// replaces: the rotation AppendPrefetch removes.
+func (c *Cache) NextStream() int { return c.nextStream }
+
+// CountStreamTies turns on or off the counting StreamTies reports. It
+// costs a scan of the streams on every prefetched fill, so it is off
+// by default.
+func (c *Cache) CountStreamTies(on bool) { c.countTies = on }
+
+// StreamTies counts the stream lookups that two or more tracked streams
+// matched while counting was on. Only such a lookup tells two
+// prefetchers with equal rotated state (AppendPrefetch) apart, so a run
+// whose tie count does not move from some point on behaves the same from
+// there under any rotation of its streams.
+func (c *Cache) StreamTies() int64 { return c.streamTies }
 
 // Contains reports whether the line holding address a is resident, and
 // whether it is dirty. Used by tests and by the consistency reporter.

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"adcc/internal/mem"
@@ -115,6 +116,31 @@ func TestLRUVictimSelection(t *testing.T) {
 	}
 	if res, _ := c.Contains(64 + 512); !res {
 		t.Fatal("C should be resident")
+	}
+}
+
+// TestAppendLRUCanonical: two caches that reach the same per-set LRU
+// order and dirty bits by different histories (other ways, other use
+// ticks) have one canonical form, and go on to evict alike.
+func TestAppendLRUCanonical(t *testing.T) {
+	const a, b, c = 64, 64 + 256, 64 + 512 // lines 1, 5, 9: one set
+	s1, s2 := &recSink{}, &recSink{}
+	c1, c2 := tinyCache(t, &sim.Clock{}, s1), tinyCache(t, &sim.Clock{}, s2)
+	c1.Load(a, 8)
+	c1.Store(b, 8)
+	c2.Store(b, 8)
+	c2.Load(a, 8)
+	c2.Store(b, 8)
+	l1, l2 := c1.AppendLRU(nil), c2.AppendLRU(nil)
+	if want := []uint64{1 << 1, 5<<1 | 1}; !slices.Equal(l1, want) || !slices.Equal(l2, want) {
+		t.Fatalf("canonical forms %v and %v, want both %v", l1, l2, want)
+	}
+	c1.Store(c, 8)
+	c2.Store(c, 8)
+	c1.Store(a, 8)
+	c2.Store(a, 8)
+	if !slices.Equal(s1.wbs, s2.wbs) || len(s1.wbs) != 1 {
+		t.Fatalf("writebacks %v and %v, want one, the same", s1.wbs, s2.wbs)
 	}
 }
 

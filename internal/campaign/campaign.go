@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"slices"
 
 	"adcc/internal/cache"
@@ -44,7 +45,7 @@ import (
 type Config struct {
 	// Scale multiplies problem sizes and sweep density; 1.0 is the full
 	// campaign (thousands of injections), small values give CI-sized
-	// smokes. Zero means 1.0.
+	// smokes. Zero means 1.0; NaN and ±Inf are rejected.
 	Scale float64
 	// Seed drives crash-point selection (per-cell seeds derive from it).
 	// The default 0 is a valid seed.
@@ -253,6 +254,9 @@ func (c Config) CellKeys() ([]string, error) {
 // cells enumerates the sweep grid in deterministic order, honoring the
 // config's workload/scheme filters.
 func (c Config) cells() ([]cell, error) {
+	if math.IsNaN(c.Scale) || math.IsInf(c.Scale, 0) {
+		return nil, fmt.Errorf("campaign: scale %v is not a finite number", c.Scale)
+	}
 	reg := c.registry()
 	for _, w := range c.Workloads {
 		if _, ok := reg.Family(w); !ok {
@@ -403,7 +407,21 @@ func (p plan) info() CellInfo {
 // cells before their next recovery fork, and surfaces ctx.Err(); a
 // cancelled campaign returns no report.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	return run(ctx, cfg, runCells)
+	return run(ctx, cfg, shipped.runCells)
+}
+
+// shipped is the engine's configuration outside tests.
+var shipped = forkKnobs{opsPerKWord: checkOpsPerKWord}
+
+// forkKnobs are the engine's parameters that tests set: the check
+// budget (see checkOpsPerKWord; 0 keeps golden state at every boundary
+// and checks forks at every one), anyInterval, which drops the
+// counter-interval filter so that the content compare alone decides
+// every stop, and an observer of every fork's result.
+type forkKnobs struct {
+	opsPerKWord int64
+	anyInterval bool
+	onClass     func(p plan, st *crash.CrashState, res classResult)
 }
 
 // stage2 executes every planned injection and returns the rows in
@@ -526,7 +544,7 @@ func aggregateCell(p plan, inj []InjectionRow) CellReport {
 	return cr
 }
 
-// runCells is the engine's stage 2: each cell executes once — a
+// runCells is the engine's stage 2 under k: each cell executes once — a
 // recording run capturing the post-crash state at every scheduled crash
 // point — and recovery runs on forks restored from those captures.
 // Captures deduplicate into post-crash equivalence classes (Crash
@@ -536,7 +554,7 @@ func aggregateCell(p plan, inj []InjectionRow) CellReport {
 // pool; within a cell the work is sequential, bounding resident
 // snapshot memory to roughly the pool width times the per-cell class
 // count.
-func runCells(ctx context.Context, cfg Config, plans []plan) ([]InjectionRow, error) {
+func (k forkKnobs) runCells(ctx context.Context, cfg Config, plans []plan) ([]InjectionRow, error) {
 	// Global injection index of each plan's first point: InjectionDone
 	// events number injections across the whole campaign.
 	offset := make([]int, len(plans)+1)
@@ -573,7 +591,7 @@ func runCells(ctx context.Context, cfg Config, plans []plan) ([]InjectionRow, er
 		}
 	}
 	perCell, err := engine.RunCasesObserved(ctx, cfg.Parallel, len(plans), func(i int) ([]InjectionRow, error) {
-		return runCell(ctx, cfg, plans[i])
+		return runCell(ctx, cfg, plans[i], k)
 	}, observe)
 	if err != nil {
 		return nil, err
@@ -606,12 +624,15 @@ type classResult struct {
 	recoverNS  int64
 	resumeNS   int64
 	resumeOps  int64
+	// skippedOps is the share of resumeOps a stopped fork took from the
+	// recording instead of simulating (0 for a fork that ran to the end).
+	skippedOps int64
 }
 
 // runCell records one cell, forks recovery once per equivalence
 // class, and returns the cell's injections in point order. A cancelled
 // ctx is noticed between forks and returned as the error.
-func runCell(ctx context.Context, cfg Config, p plan) ([]InjectionRow, error) {
+func runCell(ctx context.Context, cfg Config, p plan, k forkKnobs) ([]InjectionRow, error) {
 	injections := make([]InjectionRow, len(p.Points))
 	m := p.Cell.newMachine()
 	em := crash.NewEmulator(m)
@@ -645,6 +666,17 @@ func runCell(ctx context.Context, cfg Config, p plan) ([]InjectionRow, error) {
 	crashOps := make([]int64, len(p.Points))
 	lastClass, lastVer := -1, uint64(0)
 	var prev *crash.CrashState
+	// The recording also keeps golden state at main-loop boundaries, for
+	// the forks to stop at once they rejoin it (converge.go).
+	a := takeArena()
+	defer a.release()
+	main := p.Profile.MainTrigger().Name
+	var rec *recorder
+	if b, ok := w.(engine.Boundary); ok && main != "" {
+		rec = newRecorder(a, m, em, b, k.opsPerKWord)
+		em.SetBoundary(main, rec.boundary)
+		m.LLC.CountStreamTies(true)
+	}
 	em.Record(func() { w.Run(w.Start()) }, p.Points, func(pi int) {
 		captured[pi] = true
 		crashOps[pi] = em.OpCount()
@@ -674,15 +706,25 @@ func runCell(ctx context.Context, cfg Config, p plan) ([]InjectionRow, error) {
 		byHash[st.Hash()] = append(byHash[st.Hash()], len(classes)-1)
 		lastClass = len(classes) - 1
 	})
+	if rec != nil {
+		em.SetBoundary("", nil)
+		rec.finish()
+	}
 
 	// One fork per class on a single reused fork machine; expand each
 	// result to every member point.
 	f := newForker(cfg, p)
+	if fb, ok := f.w.(engine.Boundary); ok && rec != nil && len(a.bounds) > 0 {
+		f.check = &checker{a: a, m: f.m, em: f.em, w: fb, opsPerKWord: k.opsPerKWord, anyInterval: k.anyInterval, name: main}
+	}
 	for _, c := range classes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		res := f.run(c.state)
+		if k.onClass != nil {
+			k.onClass(p, c.state, res)
+		}
 		for _, pi := range c.points {
 			injections[pi] = expandInjection(res, crashOps[pi], p)
 		}
@@ -709,6 +751,8 @@ type forker struct {
 	em      *crash.Emulator
 	w       engine.Workload
 	prepErr bool
+	// check, when set, stops each fork once it rejoins the recording.
+	check *checker
 }
 
 func newForker(cfg Config, p plan) *forker {
@@ -730,7 +774,7 @@ func (f *forker) run(st *crash.CrashState) classResult {
 		return classResult{prepErr: true}
 	}
 	f.m.RestoreCrash(st)
-	return recoverAndResume(f.m, f.em, f.w)
+	return recoverAndResume(f.m, f.em, f.w, f.check)
 }
 
 // recoverAndResume takes a machine that has just crashed (or been
@@ -739,8 +783,9 @@ func (f *forker) run(st *crash.CrashState) classResult {
 // emulator, and verification. Panics in any of the three are contained
 // and classified — a campaign survives pathological injections. All
 // cost fields are simulated-clock deltas, so the machine's absolute
-// clock position is irrelevant.
-func recoverAndResume(m *crash.Machine, em *crash.Emulator, w engine.Workload) classResult {
+// clock position is irrelevant. A non-nil c stops the resume once it
+// rejoins the recording run and completes the result from there.
+func recoverAndResume(m *crash.Machine, em *crash.Emulator, w engine.Workload, c *checker) classResult {
 	var res classResult
 	flushes0 := m.LLC.Stats().Flushes
 
@@ -753,10 +798,27 @@ func recoverAndResume(m *crash.Machine, em *crash.Emulator, w engine.Workload) c
 	}
 
 	resStart := m.Clock.Now()
+	if c != nil {
+		c.begin()
+		em.SetBoundary(c.name, c.boundary)
+	}
 	crashedAgain, err := safeResume(em, w, from)
+	if c != nil {
+		em.SetBoundary("", nil)
+	}
 	res.resumeNS = m.Clock.Since(resStart)
 	res.flushes = m.LLC.Stats().Flushes - flushes0
 	res.resumeOps = em.OpCount()
+	if c != nil && c.stop >= 0 {
+		// Stopped where the recording stood at a kept boundary: the rest
+		// of the run is the recording's, which passed Verify.
+		g, end := c.a.bounds[c.stop].at, c.a.end
+		res.skippedOps = end.ops - g.ops
+		res.resumeNS += end.clock - g.clock
+		res.flushes += end.llc.Flushes - g.llc.Flushes
+		res.resumeOps += res.skippedOps
+		return res
+	}
 	if err != nil || crashedAgain {
 		res.resumeErr = true
 		return res

@@ -3,6 +3,9 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -120,5 +123,22 @@ func TestCellKeys(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), typo); err == nil || err.Error() != want {
 		t.Errorf("Run with a mixed valid+unknown workload list: %v, want %s", err, want)
+	}
+}
+
+// TestNonFiniteScaleRejected: a NaN or infinite scale once ran a whole
+// campaign whose report then failed to encode; Run and CellKeys must
+// refuse it up front, naming the value.
+func TestNonFiniteScaleRejected(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := tinyConfig(1)
+		cfg.Scale = scale
+		want := fmt.Sprint(scale)
+		if _, err := cfg.CellKeys(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("CellKeys(scale=%v) = %v, want an error naming %s", scale, err, want)
+		}
+		if rep, err := Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Run(scale=%v) = %v, %v; want an error naming %s", scale, rep, err, want)
+		}
 	}
 }

@@ -93,7 +93,7 @@ func runInjection(cfg Config, p plan, pt crash.CrashPoint) InjectionRow {
 	}
 	crashOps := em.CrashOps()
 	em.Disarm()
-	return expandInjection(recoverAndResume(m, em, w), crashOps, p)
+	return expandInjection(recoverAndResume(m, em, w, nil), crashOps, p)
 }
 
 // rowLog is a RowSink that renders everything it is handed.
@@ -125,11 +125,19 @@ func runEncoded(t *testing.T, exec func(context.Context, Config) (*Report, error
 // returns the oracle's report for further assertions.
 func requireEngineMatchesOracle(t *testing.T, cfg Config) *Report {
 	t.Helper()
+	return requireStageMatchesOracle(t, cfg, shipped.runCells)
+}
+
+// requireStageMatchesOracle is requireEngineMatchesOracle for the engine
+// stage stage.
+func requireStageMatchesOracle(t *testing.T, cfg Config, stage stage2) *Report {
+	t.Helper()
+	engine := func(ctx context.Context, cfg Config) (*Report, error) { return run(ctx, cfg, stage) }
 	cfg.Parallel = 4
 	oracle, want, wantRows := runEncoded(t, runOracle, cfg)
 	for _, parallel := range []int{1, 8} {
 		cfg.Parallel = parallel
-		_, got, gotRows := runEncoded(t, Run, cfg)
+		_, got, gotRows := runEncoded(t, engine, cfg)
 		if got != want {
 			t.Errorf("engine report (parallel=%d) differs from oracle:\noracle:\n%s\nengine:\n%s", parallel, want, got)
 		}

@@ -84,6 +84,7 @@ type CG struct {
 	ResidualAlarms int
 
 	rho     float64
+	iter    int      // the iteration the last iteration-end trigger closed
 	checkAz *mem.F64 // scratch for the residual check
 }
 
@@ -175,6 +176,7 @@ func (cg *CG) Run(from int) {
 			cg.checkIteration(i)
 		}
 		cg.IterNS[i] = m.Clock.Since(start)
+		cg.iter = i
 		if cg.Em != nil {
 			cg.Em.Trigger(TriggerCGIterEnd)
 		}
@@ -356,7 +358,8 @@ type BaselineCG struct {
 	// named program points as the extended one.
 	Em *crash.Emulator
 
-	rho float64
+	rho  float64
+	iter int // the iteration the last iteration-end trigger closed
 }
 
 // NewBaselineCG builds the Figure 1 solver under the given scheme's
@@ -431,6 +434,7 @@ func (bg *BaselineCG) RunFrom(from int) {
 		// bound (paper §III-B performance comparison).
 		bg.Guard.EndIteration(int64(i), bg.Pv, bg.Rv, bg.Zv)
 		bg.IterNS[i] = m.Clock.Since(start)
+		bg.iter = i
 		if bg.Em != nil {
 			bg.Em.Trigger(TriggerCGIterEnd)
 		}

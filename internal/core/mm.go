@@ -442,6 +442,7 @@ type BaselineMM struct {
 	PanelNS   []int64
 
 	colSums []float64 // verifyCf scratch, reused across panels
+	panel   int       // the panel the last loop-1 trigger closed
 }
 
 // NewBaselineMM builds the Figure 5 multiplication under the given
@@ -503,6 +504,7 @@ func (bm *BaselineMM) RunFrom(fromS int) {
 		}
 		bm.Guard.EndIteration(int64(s), bm.Cf.R)
 		bm.PanelNS[s] = bm.M.Clock.Since(start)
+		bm.panel = s
 		if bm.Em != nil {
 			bm.Em.Trigger(TriggerMMLoop1IterEnd)
 		}

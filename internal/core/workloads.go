@@ -74,6 +74,12 @@ func cgVerify(residual float64, iters int) error {
 	return nil
 }
 
+// Boundary implements engine.Boundary: the iteration just closed and
+// the loop-carried rho.
+func (w *CGWorkload) Boundary(dst []uint64) ([]uint64, bool) {
+	return append(dst, uint64(w.cg.iter), math.Float64bits(w.cg.rho)), true
+}
+
 // Metrics implements engine.Workload.
 func (w *CGWorkload) Metrics() map[string]float64 {
 	return map[string]float64{
@@ -333,6 +339,13 @@ func (w *BaselineCGWorkload) Recover() (int64, error) {
 // extended solver.
 func (w *BaselineCGWorkload) Verify() error { return cgVerify(w.bg.Residual(), w.bg.Opts.MaxIter) }
 
+// Boundary implements engine.Boundary: the iteration just closed, the
+// loop-carried rho, and the guard's state.
+func (w *BaselineCGWorkload) Boundary(dst []uint64) ([]uint64, bool) {
+	dst = append(dst, uint64(w.bg.iter), math.Float64bits(w.bg.rho))
+	return engine.GuardBoundary(w.bg.Guard, dst)
+}
+
 // Metrics implements engine.Workload.
 func (w *BaselineCGWorkload) Metrics() map[string]float64 {
 	return map[string]float64{
@@ -388,6 +401,14 @@ func (w *BaselineMMWorkload) Verify() error {
 	return mmVerify(w.bm.Result(), w.Want, w.bm.Opts)
 }
 
+// Boundary implements engine.Boundary: the panel just closed and the
+// guard's state. (The extended MMWorkload has no Boundary: its resumed
+// Run repairs panels and blocks with no trigger, so a fork of it never
+// passes a boundary.)
+func (w *BaselineMMWorkload) Boundary(dst []uint64) ([]uint64, bool) {
+	return engine.GuardBoundary(w.bm.Guard, append(dst, uint64(w.bm.panel)))
+}
+
 // Metrics implements engine.Workload.
 func (w *BaselineMMWorkload) Metrics() map[string]float64 {
 	return map[string]float64{
@@ -434,4 +455,8 @@ var (
 	_ engine.Workload = (*MCWorkload)(nil)
 	_ engine.Workload = (*BaselineCGWorkload)(nil)
 	_ engine.Workload = (*BaselineMMWorkload)(nil)
+
+	_ engine.Boundary = (*CGWorkload)(nil)
+	_ engine.Boundary = (*BaselineCGWorkload)(nil)
+	_ engine.Boundary = (*BaselineMMWorkload)(nil)
 )

@@ -226,6 +226,10 @@ type AuxState interface {
 // snapshots to carriers positionally.
 func (m *Machine) RegisterAux(a AuxState) { m.aux = append(m.aux, a) }
 
+// Aux returns the registered auxiliary state carriers in registration
+// order. The slice is the machine's own; do not modify it.
+func (m *Machine) Aux() []AuxState { return m.aux }
+
 // StateVersion sums the mutation counters of every crash-surviving
 // state layer: the heap's image version and each registered auxiliary
 // component's version. All addends are monotone, so two observations
@@ -378,6 +382,9 @@ type crashSignal struct {
 	trigger string
 }
 
+// haltSignal is the sentinel panic value of Halt.
+type haltSignal struct{}
+
 // Emulator injects crashes into workloads running on a Machine.
 type Emulator struct {
 	M *Machine
@@ -405,6 +412,10 @@ type Emulator struct {
 	// rec, when non-nil, pauses execution at scheduled crash points to
 	// let a callback capture machine snapshots (installed by Record).
 	rec *recording
+
+	// boundaryName and boundary are SetBoundary's watch.
+	boundaryName string
+	boundary     func()
 
 	// fault is the crash-time fault model (zero = clean fail-stop);
 	// faultErr records a model that could not be applied at the most
@@ -574,6 +585,22 @@ func (p RunProfile) Points(n int, seed int64) []CrashPoint {
 	return out
 }
 
+// SetBoundary makes every Trigger(name) call run fn, after the point is
+// recorded and before an armed crash at it could fire. fn observes the
+// machine between two operations of the workload and may end the Run
+// with Halt. A nil fn removes the watch.
+func (e *Emulator) SetBoundary(name string, fn func()) {
+	e.boundaryName, e.boundary = name, fn
+	if fn == nil {
+		e.boundaryName = ""
+	}
+}
+
+// Halt ends the current Run where it stands, with no crash: nothing is
+// discarded and Run returns false. It must be called inside Run, from
+// code the workload calls (a SetBoundary watch or a heap stop).
+func (e *Emulator) Halt() { panic(haltSignal{}) }
+
 // CrashAtTrigger arms a crash at the occurrence-th call to
 // Trigger(name). Occurrences are 1-based.
 func (e *Emulator) CrashAtTrigger(name string, occurrence int) {
@@ -595,6 +622,9 @@ func (e *Emulator) Trigger(name string) {
 				e.rec.capture(pi)
 			}
 		}
+	}
+	if e.boundary != nil && name == e.boundaryName {
+		e.boundary()
 	}
 	if e.trigTarget <= 0 || name != e.trigName {
 		return
@@ -718,8 +748,8 @@ func (e *Emulator) Record(workload func(), points []CrashPoint, capture func(poi
 // already gone through the full crash protocol: the LLC is discarded
 // (dirty lines lost), the memory system's volatile tier is reset, and
 // every region's live data has been replaced by its NVM image — the
-// state a restarted process would observe. Panics other than the crash
-// sentinel propagate.
+// state a restarted process would observe. A Halt returns false with
+// the machine as it stood. Other panics propagate.
 func (e *Emulator) Run(workload func()) (crashed bool) {
 	e.trigSeen = 0
 	e.crashed = false
@@ -740,6 +770,9 @@ func (e *Emulator) Run(workload func()) (crashed bool) {
 
 	defer func() {
 		if r := recover(); r != nil {
+			if _, ok := r.(haltSignal); ok {
+				return
+			}
 			sig, ok := r.(crashSignal)
 			if !ok {
 				panic(r)

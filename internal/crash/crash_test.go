@@ -140,6 +140,39 @@ func TestTriggerOccurrenceCounting(t *testing.T) {
 	}
 }
 
+// TestBoundaryHalt: a SetBoundary watch runs at every firing of its
+// trigger, before an armed crash there, and a Halt from it ends the Run
+// with no crash, the live data untouched and the op count frozen.
+func TestBoundaryHalt(t *testing.T) {
+	m := smallMachine(NVMOnly)
+	e := NewEmulator(m)
+	r := m.Heap.AllocF64("v", 8)
+	e.CrashAtTrigger("iter", 3)
+	seen := 0
+	e.SetBoundary("iter", func() {
+		if seen++; seen == 3 {
+			e.Halt()
+		}
+	})
+	crashed := e.Run(func() {
+		for i := 0; i < 8; i++ {
+			r.Set(i, float64(i+1))
+			e.Trigger("other")
+			e.Trigger("iter")
+		}
+	})
+	if crashed || seen != 3 || e.OpCount() != 3 {
+		t.Fatalf("crashed=%v seen=%d ops=%d, want false/3/3", crashed, seen, e.OpCount())
+	}
+	if got := r.Live()[2]; got != 3 {
+		t.Fatalf("live word after Halt = %v, want 3", got)
+	}
+	e.SetBoundary("", nil)
+	if e.Run(func() { e.Trigger("iter") }); seen != 3 {
+		t.Fatal("a removed watch still ran")
+	}
+}
+
 func TestUnmatchedTriggerIgnored(t *testing.T) {
 	m := smallMachine(NVMOnly)
 	e := NewEmulator(m)

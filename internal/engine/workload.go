@@ -45,6 +45,45 @@ type Workload interface {
 	Metrics() map[string]float64
 }
 
+// Boundary is implemented by workloads that let the campaign stop a
+// recovery fork once it rejoins the recording run. At every firing of
+// the main-loop trigger (the most frequent one) the campaign compares a
+// fork against the uncrashed run at its boundaries: every region's live
+// words, the LLC's resident lines in LRU order with their dirty bits and
+// the prefetcher, the DRAM page tier, the CPU's fractional-nanosecond
+// carry, the registered aux state, and the words Boundary appends. On a
+// match the fork stops there and takes the rest of its result from the
+// recording. NVM image words are left out: the rest of a run only writes
+// them, through writebacks whose cost does not depend on them.
+//
+// Boundary appends to dst the workload's state at the boundary that lies
+// outside the layers above — its loop position and loop-carried Go-side
+// scalars. It must cover everything that Run after the boundary and
+// Verify read outside the live heap words, the LLC, the page tier, the
+// CPU remainder and the aux state: two workloads whose Boundary words
+// and machine layers are equal must go on to identical costs and the
+// same verdict. ok = false declares a boundary it cannot describe (a
+// guard of unknown state, say); such a boundary never matches. A
+// workload that does not implement Boundary never stops early.
+type Boundary interface {
+	Boundary(dst []uint64) (words []uint64, ok bool)
+}
+
+// GuardBoundary appends the Go-side state of a guard built by one of the
+// built-in schemes for Boundary: nothing for the native and checkpoint
+// guards (a checkpointer's state is aux state), the transaction pool's
+// bookkeeping for a PMEM guard. A guard of any other type is reported
+// with ok = false.
+func GuardBoundary(g Guard, dst []uint64) ([]uint64, bool) {
+	switch g := g.(type) {
+	case nativeGuard, *checkpointGuard:
+		return dst, true
+	case *pmemGuard:
+		return g.pool.Boundary(dst), true
+	}
+	return dst, false
+}
+
 // Family is one row of the workload table: everything a sweep needs to
 // know about a workload without importing it. The campaign, the public
 // registry, and the family experiments all read the same entries (the

@@ -372,6 +372,35 @@ func (h *Heap) LineWords(a Addr, live, image *[LineSize / 8]uint64) int {
 	return 0
 }
 
+// LiveVersion returns the live-mutation counter of region i (in
+// Regions order). An unchanged counter proves the region's live words
+// unchanged; a changed one proves nothing (see vers).
+func (h *Heap) LiveVersion(i int) uint64 { return h.regions[i].versions().liveVer }
+
+// CopyLive copies region i's live words from element off on into dst as
+// raw bits and returns how many it copied: min(len(dst), the elements
+// past off). Like LiveWord it observes without charging an access or
+// bumping counters.
+func (h *Heap) CopyLive(dst []uint64, i, off int) int {
+	switch r := h.regions[i].(type) {
+	case *F64:
+		src := r.live[off:]
+		n := min(len(dst), len(src))
+		for k, v := range src[:n] {
+			dst[k] = math.Float64bits(v)
+		}
+		return n
+	case *I64:
+		src := r.live[off:]
+		n := min(len(dst), len(src))
+		for k, v := range src[:n] {
+			dst[k] = uint64(v)
+		}
+		return n
+	}
+	panic(fmt.Sprintf("mem: cannot copy region type %T", h.regions[i]))
+}
+
 // StorePersistWord overwrites both the live and image word at
 // 8-byte-aligned address a with the raw bits w, reporting whether a was
 // mapped. It is the post-crash primitive fault models use to rewrite

@@ -23,6 +23,7 @@ package nvm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"adcc/internal/mem"
 )
@@ -270,6 +271,12 @@ func (h *Hetero) WriteCostSeq(a mem.Addr, size int) int64 {
 	return cost
 }
 
+// AppendLRU appends the DRAM page tier in canonical form: set by set,
+// each set's resident pages from least to most recently used. Like the
+// LLC's (cache.Cache.AppendLRU), it drops way positions and absolute use
+// ticks, which never decide a hit or a victim.
+func (h *Hetero) AppendLRU(dst []uint64) []uint64 { return h.pages.appendLRU(dst) }
+
 // Name implements System.
 func (h *Hetero) Name() string { return "Hetero NVM/DRAM" }
 
@@ -292,6 +299,10 @@ type pageTier struct {
 	assoc int
 	ways  []pageWay
 	tick  uint64
+	// filled marks, one bit per set, the sets that filled a page since
+	// the last reset: appendLRU skips the others.
+	filled []uint64
+	lru    []pageWay // appendLRU's per-set scratch
 }
 
 type pageWay struct {
@@ -308,9 +319,10 @@ func newPageTier(capacity int) *pageTier {
 	}
 	nsets := npages / assoc
 	return &pageTier{
-		nsets: uint64(nsets),
-		assoc: assoc,
-		ways:  make([]pageWay, nsets*assoc),
+		nsets:  uint64(nsets),
+		assoc:  assoc,
+		ways:   make([]pageWay, nsets*assoc),
+		filled: make([]uint64, (nsets+63)/64),
 	}
 }
 
@@ -342,13 +354,39 @@ func (t *pageTier) touch(a mem.Addr) bool {
 	victim.tag = pn
 	victim.valid = true
 	victim.use = t.tick
+	t.filled[s>>6] |= 1 << (s & 63)
 	return false
+}
+
+func (t *pageTier) appendLRU(dst []uint64) []uint64 {
+	for i, word := range t.filled {
+		for ; word != 0; word &= word - 1 {
+			s := i<<6 | bits.TrailingZeros64(word)
+			set := t.lru[:0]
+			for _, w := range t.ways[s*t.assoc : (s+1)*t.assoc] {
+				if w.valid {
+					set = append(set, w)
+				}
+			}
+			for a := 1; a < len(set); a++ {
+				for b := a; b > 0 && set[b].use < set[b-1].use; b-- {
+					set[b], set[b-1] = set[b-1], set[b]
+				}
+			}
+			for _, w := range set {
+				dst = append(dst, w.tag)
+			}
+			t.lru = set
+		}
+	}
+	return dst
 }
 
 func (t *pageTier) reset() {
 	for i := range t.ways {
 		t.ways[i] = pageWay{}
 	}
+	clear(t.filled)
 	// A power cycle also restarts the LRU clock: a machine restarted
 	// after a crash is indistinguishable from a fresh one.
 	t.tick = 0

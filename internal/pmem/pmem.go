@@ -315,6 +315,38 @@ func (tx *Tx) Commit() {
 	p.inTx = false
 }
 
+// Boundary appends the pool's Go-side bookkeeping for
+// engine.Boundary: the log cursors, the open-transaction flag and, inside
+// a transaction, the lines already logged in it and the ranges its
+// commit will flush. Outside a transaction the epoch stamps are left
+// out: Begin moves the epoch past every stamp, so no stamp can matter
+// to what follows, and the epoch itself counts transactions since the
+// pool was built, not since the run began.
+func (p *Pool) Boundary(dst []uint64) []uint64 {
+	inTx := uint64(0)
+	if p.inTx {
+		inTx = 1
+	}
+	dst = append(dst, uint64(p.metaLen), uint64(p.valsLen), uint64(p.entries), inTx)
+	if !p.inTx {
+		return dst
+	}
+	for _, regions := range [][][]uint64{p.snapF64, p.snapI64} {
+		for _, stamps := range regions {
+			for line, st := range stamps {
+				if st == p.epoch {
+					dst = append(dst, uint64(line))
+				}
+			}
+			dst = append(dst, math.MaxUint64) // region separator
+		}
+	}
+	for _, w := range p.tx.written {
+		dst = append(dst, uint64(w.kind), uint64(w.id), uint64(w.lo), uint64(w.hi))
+	}
+	return dst
+}
+
 // Recover must be called after a crash+restart (the machine's live state
 // already equals the NVM image). If the log is non-empty — i.e. a
 // transaction was open at the crash — the logged old values are applied

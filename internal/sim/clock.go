@@ -60,6 +60,10 @@ func DefaultCPU(c *Clock) *CPU {
 // Compute; the crash protocol clears it.
 func (p *CPU) SetRemainder(r float64) { p.remainder = r }
 
+// Remainder returns the fractional-nanosecond carry the next Compute
+// adds to its cost.
+func (p *CPU) Remainder() float64 { return p.remainder }
+
 // Compute charges the clock for ops arithmetic operations.
 func (p *CPU) Compute(ops int64) {
 	if ops <= 0 {

@@ -31,6 +31,8 @@ type Baseline struct {
 	// making the baseline injectable at the same named program points
 	// as the extended relaxation.
 	Em *crash.Emulator
+
+	iter int // the sweep the last iteration-end trigger closed
 }
 
 // NewBaseline builds the ping-pong relaxation under the given scheme's
@@ -94,6 +96,7 @@ func (bg *Baseline) RunFrom(from int) {
 		// bound.
 		bg.Guard.EndIteration(int64(i), bg.U0, bg.U1)
 		bg.IterNS[i] = m.Clock.Since(start)
+		bg.iter = i
 		if bg.Em != nil {
 			bg.Em.Trigger(TriggerIterEnd)
 		}

@@ -50,6 +50,8 @@ type Heat struct {
 	// IterNS records the simulated duration of each completed sweep
 	// (1-based; entry 0 unused).
 	IterNS []int64
+
+	iter int // the sweep the last iteration-end trigger closed
 }
 
 // NewHeat builds the extended relaxation on a machine (em may be nil
@@ -103,6 +105,7 @@ func (h *Heat) Run(from int) {
 		}
 
 		h.IterNS[i] = m.Clock.Since(start)
+		h.iter = i
 		if h.Em != nil {
 			h.Em.Trigger(TriggerIterEnd)
 		}

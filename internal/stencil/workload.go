@@ -69,6 +69,12 @@ func (w *HeatWorkload) Verify() error {
 	return VerifyGrid(w.h.Result(), want)
 }
 
+// Boundary implements engine.Boundary: the sweep just closed. The flush
+// policy is fixed at Prepare; everything else lives in the heap.
+func (w *HeatWorkload) Boundary(dst []uint64) ([]uint64, bool) {
+	return append(dst, uint64(w.h.iter)), true
+}
+
 // Metrics implements engine.Workload.
 func (w *HeatWorkload) Metrics() map[string]float64 {
 	return map[string]float64{
@@ -125,6 +131,12 @@ func (w *BaselineWorkload) Verify() error {
 		want = Want(w.bg.Opts)
 	}
 	return VerifyGrid(w.bg.Result(), want)
+}
+
+// Boundary implements engine.Boundary: the sweep just closed and the
+// guard's state.
+func (w *BaselineWorkload) Boundary(dst []uint64) ([]uint64, bool) {
+	return engine.GuardBoundary(w.bg.Guard, append(dst, uint64(w.bg.iter)))
 }
 
 // Metrics implements engine.Workload.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -439,6 +440,24 @@ func TestRunReportCollector(t *testing.T) {
 	for _, r := range results {
 		if !strings.HasPrefix(r.Name, "cg/") || r.SimNS <= 0 {
 			t.Fatalf("unexpected collected result %+v", r)
+		}
+	}
+}
+
+// TestNonFiniteScaleRejected: a NaN or infinite campaign scale must be
+// refused before anything runs — by RunCampaign and by CampaignCells —
+// with an error naming the value, not run to a report that cannot be
+// encoded.
+func TestNonFiniteScaleRejected(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		want := fmt.Sprint(scale)
+		rep, err := adcc.New(nil, adcc.WithScale(scale), adcc.WithWorkloads(adcc.WorkloadMC)).RunCampaign(context.Background())
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("RunCampaign(scale=%v) = %v, %v; want an error naming %s", scale, rep, err, want)
+		}
+		spec := adcc.CampaignSpec{Scale: scale, Workloads: []string{adcc.WorkloadMC}}
+		if _, err := adcc.CampaignCells(nil, spec); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("CampaignCells(scale=%v) = %v; want an error naming %s", scale, err, want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 
 	"adcc/internal/campaign"
@@ -55,7 +56,7 @@ type CampaignSpec struct {
 // byte-identical reports.
 func (s CampaignSpec) Canonical() CampaignSpec {
 	s.Replay = false
-	if s.Scale <= 0 {
+	if s.Scale <= 0 && !math.IsInf(s.Scale, -1) { // -Inf is left for the campaign to reject
 		s.Scale = 1.0
 	}
 	s.Workloads = sortDedup(s.Workloads)

@@ -21,6 +21,11 @@ import (
 // a Registry; Registry.Workload builds the built-in ones by name.
 type Workload = engine.Workload
 
+// Boundary is the optional interface a Workload implements to let a
+// campaign stop a recovery fork once its state rejoins the uncrashed
+// run; see engine.Boundary for what it must cover.
+type Boundary = engine.Boundary
+
 // Guard is the per-run binding of a scheme to a machine: the uniform
 // iteration-protection hooks a workload loop drives.
 type Guard = engine.Guard
