@@ -105,7 +105,7 @@ func Kernels() []Kernel {
 				m := kernelMachine()
 				p := pmem.NewPool(m, 1<<20)
 				r := m.Heap.AllocF64("v", 1024)
-				p.RegisterF64(r)
+				p.Register(r)
 				return m, func(i int) {
 					tx := p.Begin()
 					tx.SetF64(r, i&1023, float64(i))

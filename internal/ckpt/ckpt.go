@@ -21,7 +21,7 @@ package ckpt
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"adcc/internal/crash"
 	"adcc/internal/mem"
@@ -38,12 +38,12 @@ type Checkpointer struct {
 	// pay seek+bandwidth instead.
 	memoryBased bool
 
-	saved map[string]*snapshot
+	saved map[string][]uint64
 	// spare holds per-region staging buffers: Checkpoint stages into
 	// them and swaps them with saved at its commit point, so the hot
 	// checkpoint loop allocates nothing in steady state while a crash
 	// mid-save still leaves the previous checkpoint intact.
-	spare map[string]*snapshot
+	spare map[string][]uint64
 	tag   int64
 	valid bool
 	// ver counts commits and restores for crash.AuxState.AuxVersion.
@@ -55,16 +55,11 @@ type Checkpointer struct {
 	tierFlushNS int64
 }
 
-type snapshot struct {
-	f64 []float64
-	i64 []int64
-}
-
 // NewHDD returns a checkpointer writing to a local hard drive.
 func NewHDD(m *crash.Machine) *Checkpointer {
 	c := &Checkpointer{
 		m: m, target: nvm.HDD(), name: "ckpt-HDD", memoryBased: false,
-		saved: map[string]*snapshot{}, spare: map[string]*snapshot{},
+		saved: map[string][]uint64{}, spare: map[string][]uint64{},
 	}
 	m.RegisterAux(c)
 	return c
@@ -80,8 +75,8 @@ func NewNVM(m *crash.Machine) *Checkpointer {
 		target:      m.Mem.PersistModel(),
 		name:        "ckpt-" + m.System().String(),
 		memoryBased: true,
-		saved:       map[string]*snapshot{},
-		spare:       map[string]*snapshot{},
+		saved:       map[string][]uint64{},
+		spare:       map[string][]uint64{},
 	}
 	if tier := m.DRAMCacheBytes(); tier > 0 {
 		// Flushing the DRAM cache is a scan over its capacity at DRAM
@@ -102,7 +97,7 @@ func (c *Checkpointer) Valid() bool { return c.valid }
 func (c *Checkpointer) Tag() int64 { return c.tag }
 
 // Checkpoint saves the given regions atomically under a tag (typically
-// the iteration number). Supported region types: *mem.F64 and *mem.I64.
+// the iteration number), as raw words, whatever their element type.
 //
 // Crash-atomicity: chargeSave streams each source region through the
 // cache, so an injected crash can fire in the middle of a multi-region
@@ -113,22 +108,8 @@ func (c *Checkpointer) Tag() int64 { return c.tag }
 func (c *Checkpointer) Checkpoint(tag int64, regions ...mem.Region) {
 	for _, r := range regions {
 		c.chargeSave(r)
-		s := c.spare[r.Name()]
-		switch t := r.(type) {
-		case *mem.F64:
-			if s == nil || len(s.f64) != t.Len() {
-				s = &snapshot{f64: make([]float64, t.Len())}
-			}
-			copy(s.f64, t.Live())
-		case *mem.I64:
-			if s == nil || len(s.i64) != t.Len() {
-				s = &snapshot{i64: make([]int64, t.Len())}
-			}
-			copy(s.i64, t.Live())
-		default:
-			panic(fmt.Sprintf("ckpt: unsupported region type %T", r))
-		}
-		c.spare[r.Name()] = s
+		name := r.Name()
+		c.spare[name] = copyWords(c.spare[name], r.LiveWords())
 	}
 	c.m.Clock.Advance(c.tierFlushNS)
 	// Commit point: no simulated operation (and hence no crash point)
@@ -143,6 +124,16 @@ func (c *Checkpointer) Checkpoint(tag int64, regions ...mem.Region) {
 	c.ver++
 }
 
+// copyWords copies src into dst, reallocating dst only when its length
+// differs, and returns it.
+func copyWords(dst, src []uint64) []uint64 {
+	if len(dst) != len(src) {
+		dst = make([]uint64, len(src))
+	}
+	copy(dst, src)
+	return dst
+}
+
 // chargeSave prices one region save: a cached read of the source plus the
 // target write, plus (for memory-based checkpoints) the destination
 // flush pass.
@@ -150,19 +141,9 @@ func (c *Checkpointer) chargeSave(r mem.Region) {
 	size := r.Bytes()
 	// Source read through the cache: charges hits/misses/evictions as
 	// the copy loop streams the region.
-	switch t := r.(type) {
-	case *mem.F64:
-		const chunk = 4096 / 8
-		for i := 0; i < t.Len(); i += chunk {
-			n := min(chunk, t.Len()-i)
-			t.LoadRange(i, n)
-		}
-	case *mem.I64:
-		const chunk = 4096 / 8
-		for i := 0; i < t.Len(); i += chunk {
-			n := min(chunk, t.Len()-i)
-			t.LoadRange(i, n)
-		}
+	const chunk = 4096 / 8
+	for i := 0; i < r.Len(); i += chunk {
+		r.LoadWords(i, min(chunk, r.Len()-i))
 	}
 	// Copy write to the target device.
 	c.m.Clock.Advance(c.target.WriteCost(size))
@@ -188,22 +169,11 @@ func (c *Checkpointer) Restore(regions ...mem.Region) int64 {
 		}
 		c.m.Clock.Advance(c.target.ReadCost(r.Bytes()))
 		c.m.ChargeNVMWrite(r.Bytes())
-		switch t := r.(type) {
-		case *mem.F64:
-			if len(s.f64) != t.Len() {
-				panic(fmt.Sprintf("ckpt: region %q length changed", r.Name()))
-			}
-			copy(t.Live(), s.f64)
-			copy(t.Image(), s.f64)
-		case *mem.I64:
-			if len(s.i64) != t.Len() {
-				panic(fmt.Sprintf("ckpt: region %q length changed", r.Name()))
-			}
-			copy(t.Live(), s.i64)
-			copy(t.Image(), s.i64)
-		default:
-			panic(fmt.Sprintf("ckpt: unsupported region type %T", r))
+		if len(s) != r.Len() {
+			panic(fmt.Sprintf("ckpt: region %q length changed", r.Name()))
 		}
+		copy(r.LiveWords(), s)
+		copy(r.ImageWords(), s)
 	}
 	return c.tag
 }
@@ -213,7 +183,7 @@ func (c *Checkpointer) Restore(regions ...mem.Region) int64 {
 // buffers are excluded — they are dead until the next Checkpoint call
 // overwrites them, so they are not observable state.
 type auxState struct {
-	saved map[string]*snapshot
+	saved map[string][]uint64
 	tag   int64
 	valid bool
 }
@@ -222,28 +192,9 @@ type auxState struct {
 func (c *Checkpointer) SnapshotAux(prev crash.AuxSnapshot) crash.AuxSnapshot {
 	st, ok := prev.(*auxState)
 	if !ok || st == nil {
-		st = &auxState{saved: map[string]*snapshot{}}
+		st = &auxState{saved: map[string][]uint64{}}
 	}
-	for name := range st.saved {
-		if _, live := c.saved[name]; !live {
-			delete(st.saved, name)
-		}
-	}
-	for name, s := range c.saved {
-		d := st.saved[name]
-		if d == nil {
-			d = &snapshot{}
-			st.saved[name] = d
-		}
-		if len(d.f64) != len(s.f64) {
-			d.f64 = make([]float64, len(s.f64))
-		}
-		copy(d.f64, s.f64)
-		if len(d.i64) != len(s.i64) {
-			d.i64 = make([]int64, len(s.i64))
-		}
-		copy(d.i64, s.i64)
-	}
+	copySaved(st.saved, c.saved)
 	st.tag = c.tag
 	st.valid = c.valid
 	return st
@@ -255,29 +206,23 @@ func (c *Checkpointer) RestoreAux(snap crash.AuxSnapshot) {
 	if !ok {
 		panic(fmt.Sprintf("ckpt: restore of foreign aux snapshot %T", snap))
 	}
-	for name := range c.saved {
-		if _, want := st.saved[name]; !want {
-			delete(c.saved, name)
-		}
-	}
-	for name, s := range st.saved {
-		d := c.saved[name]
-		if d == nil {
-			d = &snapshot{}
-			c.saved[name] = d
-		}
-		if len(d.f64) != len(s.f64) {
-			d.f64 = make([]float64, len(s.f64))
-		}
-		copy(d.f64, s.f64)
-		if len(d.i64) != len(s.i64) {
-			d.i64 = make([]int64, len(s.i64))
-		}
-		copy(d.i64, s.i64)
-	}
+	copySaved(c.saved, st.saved)
 	c.tag = st.tag
 	c.valid = st.valid
 	c.ver++
+}
+
+// copySaved makes dst a copy of src, reusing dst's buffers where the
+// lengths allow.
+func copySaved(dst, src map[string][]uint64) {
+	for name := range dst {
+		if _, ok := src[name]; !ok {
+			delete(dst, name)
+		}
+	}
+	for name, s := range src {
+		dst[name] = copyWords(dst[name], s)
+	}
 }
 
 // AuxVersion implements crash.AuxState.
@@ -290,19 +235,8 @@ func (a *auxState) EqualAux(other crash.AuxSnapshot) bool {
 		return false
 	}
 	for name, sa := range a.saved {
-		sb, ok := b.saved[name]
-		if !ok || len(sa.f64) != len(sb.f64) || len(sa.i64) != len(sb.i64) {
+		if sb, ok := b.saved[name]; !ok || !slices.Equal(sa, sb) {
 			return false
-		}
-		for i, v := range sa.f64 {
-			if math.Float64bits(v) != math.Float64bits(sb.f64[i]) {
-				return false
-			}
-		}
-		for i, v := range sa.i64 {
-			if v != sb.i64[i] {
-				return false
-			}
 		}
 	}
 	return true

@@ -1,6 +1,8 @@
 package ckpt
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"adcc/internal/cache"
@@ -19,6 +21,9 @@ func newMachine(kind crash.SystemKind) *crash.Machine {
 	})
 }
 
+// TestCheckpointRestoreRoundTrip: a checkpoint, and an aux snapshot of
+// it, return every region bit for bit, including int64 words that read
+// as NaN or -0 when taken for float64.
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	m := newMachine(crash.NVMOnly)
 	c := NewNVM(m)
@@ -27,30 +32,52 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		v.Set(i, float64(i)*1.5)
 	}
-	n.Set(0, 42)
+	wantN := []int64{42, -1, math.MinInt64, 0x7ff0000000000001}
+	copy(n.StoreRange(0, 4), wantN)
 	c.Checkpoint(7, v, n)
+	aux := c.SnapshotAux(nil)
 
-	// Clobber everything.
-	for i := 0; i < 100; i++ {
-		v.Set(i, -1)
+	clobber := func() {
+		for i := 0; i < 100; i++ {
+			v.Set(i, -1)
+		}
+		copy(n.StoreRange(0, 4), []int64{-7, -7, -7, -7})
 	}
-	n.Set(0, -1)
+	check := func(what string) {
+		t.Helper()
+		for i := 0; i < 100; i++ {
+			if v.Live()[i] != float64(i)*1.5 {
+				t.Fatalf("%s: v[%d] = %v after restore", what, i, v.Live()[i])
+			}
+			if v.Image()[i] != float64(i)*1.5 {
+				t.Fatalf("%s: v image[%d] = %v after restore", what, i, v.Image()[i])
+			}
+		}
+		if !slices.Equal(n.Live(), wantN) || !slices.Equal(n.Image(), wantN) {
+			t.Fatalf("%s: n live %#x image %#x, want %#x", what, n.Live(), n.Image(), wantN)
+		}
+	}
 
-	tag := c.Restore(v, n)
-	if tag != 7 {
+	clobber()
+	if tag := c.Restore(v, n); tag != 7 {
 		t.Fatalf("tag = %d, want 7", tag)
 	}
-	for i := 0; i < 100; i++ {
-		if v.Live()[i] != float64(i)*1.5 {
-			t.Fatalf("v[%d] = %v after restore", i, v.Live()[i])
-		}
-		if v.Image()[i] != float64(i)*1.5 {
-			t.Fatalf("v image[%d] = %v after restore", i, v.Image()[i])
-		}
+	check("restore")
+
+	// A later checkpoint of the clobbered state, rolled back to aux.
+	clobber()
+	c.Checkpoint(8, v, n)
+	if aux.EqualAux(c.SnapshotAux(nil)) {
+		t.Fatal("aux snapshots of different checkpoints compare equal")
 	}
-	if n.Live()[0] != 42 {
-		t.Fatalf("n = %d after restore", n.Live()[0])
+	c.RestoreAux(aux)
+	if !aux.EqualAux(c.SnapshotAux(nil)) {
+		t.Fatal("aux snapshot differs from the checkpoint it restored")
 	}
+	if tag := c.Restore(v, n); tag != 7 {
+		t.Fatalf("tag after RestoreAux = %d, want 7", tag)
+	}
+	check("RestoreAux then restore")
 }
 
 func TestCheckpointSurvivesCrash(t *testing.T) {

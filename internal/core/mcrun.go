@@ -96,13 +96,13 @@ func (r *MCRunner) Run(from int64) {
 			// state, run the lookup, flush what it wrote at commit.
 			tx := pool.Begin()
 			tx.SetI64(s.Iter, 0, i)
-			tx.SnapshotF64(s.MacroXS, mc.MacroOff, mc.NumTypes)
+			tx.Snapshot(s.MacroXS, mc.MacroOff, mc.NumTypes)
 			for k := 0; k < mc.NumTypes; k++ {
-				tx.SnapshotI64(s.Counters, k*(mem.LineSize/8), 1)
+				tx.Snapshot(s.Counters, k*(mem.LineSize/8), 1)
 			}
 			t := s.Lookup(i)
-			tx.MarkWrittenF64(s.MacroXS, mc.MacroOff, mc.NumTypes)
-			tx.MarkWrittenI64(s.Counters, t*(mem.LineSize/8), 1)
+			tx.MarkWritten(s.MacroXS, mc.MacroOff, mc.NumTypes)
+			tx.MarkWritten(s.Counters, t*(mem.LineSize/8), 1)
 			tx.Commit()
 			if r.Em != nil {
 				r.Em.Trigger(TriggerMCLookup)

@@ -494,7 +494,7 @@ func (bm *BaselineMM) RunFrom(fromS int) {
 		if pool := bm.Guard.Pool(); pool != nil {
 			tx := pool.Begin()
 			tx.SetI64(bm.PanelDone, 0, int64(s))
-			tx.SnapshotF64(bm.Cf.R, 0, n1*n1)
+			tx.Snapshot(bm.Cf.R, 0, n1*n1)
 			dense.GemmAcc(bm.M.CPU, bm.Cf, bm.Ac, bm.Br, s*k, k)
 			// Commit must flush everything the panel wrote.
 			_ = tx.StoreRangeF64(bm.Cf.R, 0, n1*n1)

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"adcc/internal/ckpt"
 	"adcc/internal/crash"
 	"adcc/internal/mem"
@@ -79,18 +77,7 @@ func NewPMEMGuard(m *crash.Machine, logElems int) Guard {
 	return &pmemGuard{pool: pmem.NewPool(m, logElems)}
 }
 
-func (g *pmemGuard) Register(regions ...mem.Region) {
-	for _, r := range regions {
-		switch t := r.(type) {
-		case *mem.F64:
-			g.pool.RegisterF64(t)
-		case *mem.I64:
-			g.pool.RegisterI64(t)
-		default:
-			panic(fmt.Sprintf("engine: unsupported region type %T", r))
-		}
-	}
-}
+func (g *pmemGuard) Register(regions ...mem.Region)    { g.pool.Register(regions...) }
 func (g *pmemGuard) Pool() *pmem.Pool                  { return g.pool }
 func (g *pmemGuard) EndIteration(int64, ...mem.Region) {}
 func (g *pmemGuard) Checkpointer() *ckpt.Checkpointer  { return nil }

@@ -9,9 +9,10 @@ import (
 
 // Workload is one crash-consistence study: a computation that can run
 // from an iteration boundary, recover after an injected crash, and
-// verify its final result. CG, ABFT-MM, and Monte-Carlo implement it in
-// internal/core; conformance is asserted for all three by the engine
-// test suite.
+// verify its final result. Five families implement it: CG, ABFT-MM and
+// Monte-Carlo in internal/core, the heat stencil in internal/stencil and
+// the KV/log store in internal/kvlog. Each package's tests drive its
+// workloads through the lifecycle below.
 //
 // The lifecycle is:
 //
@@ -22,7 +23,7 @@ import (
 //	err = w.Verify()                    // check the result
 //	stats := w.Metrics()                // workload-specific measurements
 type Workload interface {
-	// Name identifies the workload ("cg", "mm", "mc").
+	// Name identifies the workload ("cg", "mm", "mc", "stencil", "kvlog").
 	Name() string
 	// Prepare allocates the workload's state on the machine. em may be
 	// nil when no crash will be injected. Prepare must be called

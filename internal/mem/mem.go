@@ -14,6 +14,11 @@
 // is the recovery state, exactly as on real NVM hardware with volatile
 // caches.
 //
+// A region holds 8-byte elements of one type, float64 or int64, and that
+// type is known only here: writebacks, restarts, snapshots, checkpoints
+// and undo logs see every region as raw 8-byte words (Region's word
+// methods).
+//
 // The correctness of this metadata-only design rests on a single-core
 // write-back cache invariant: a resident line always holds the most
 // recent value of every byte it covers, so materializing a writeback from
@@ -23,8 +28,9 @@ package mem
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
+	"unsafe"
 )
 
 // LineSize is the cache-line granularity of the simulated machine, in
@@ -64,7 +70,18 @@ func (NullAccessor) Store(Addr, int) {}
 // LoadEach implements Accessor.
 func (NullAccessor) LoadEach(Addr, []int64) {}
 
-// Region is the common interface of all typed memory regions.
+// Kind is a region's element type, the one fact about a region that its
+// words do not show.
+type Kind int64
+
+const (
+	KindF64 Kind = iota // float64 elements (F64)
+	KindI64             // int64 elements (I64)
+)
+
+// Region is the element-type-free view of a heap region: the typed
+// accessors are on F64 and I64, and everything here sees the region as
+// Len raw 8-byte words.
 type Region interface {
 	// Name returns the diagnostic name given at allocation.
 	Name() string
@@ -72,15 +89,21 @@ type Region interface {
 	Base() Addr
 	// Bytes returns the size of the region in bytes.
 	Bytes() int
-
-	// writeback copies [off, off+n) bytes from live to image.
-	writeback(off, n int)
-	// restore copies the whole image into the live slice (restart).
-	restore()
-	// syncImage copies the whole live slice into the image.
-	syncImage()
-	// versions returns the region's mutation counters.
-	versions() *vers
+	// Len returns the number of elements (words).
+	Len() int
+	// Addr returns the simulated address of element i.
+	Addr(i int) Addr
+	// Kind returns the element type the region was allocated with.
+	Kind() Kind
+	// LoadWords is LoadRange over raw words: the same operation, access
+	// and (absent) version bump.
+	LoadWords(i, n int) []uint64
+	// StoreWords is StoreRange over raw words.
+	StoreWords(i, n int) []uint64
+	// LiveWords is Live over raw words: no access, a live version bump.
+	LiveWords() []uint64
+	// ImageWords is Image over raw words: no access, image version bumps.
+	ImageWords() []uint64
 }
 
 // vers carries a region's mutation counters. Every path that can
@@ -96,23 +119,20 @@ type vers struct {
 	imageVer uint64
 }
 
-func (v *vers) versions() *vers { return v }
-
 // Heap allocates regions at line-aligned simulated addresses and routes
 // writebacks from the cache simulator to the owning region.
 type Heap struct {
 	next    Addr
 	regions []Region // sorted by base address
-	// bases[i] is regions[i].Base(): find searches plain addresses
-	// instead of calling through the Region interface per probe.
-	bases []Addr
+	// spans[i] is regions[i]'s untyped half, which is all the heap's own
+	// work (lookups, writebacks, snapshots, restores) touches.
+	spans []*span
 	acc   Accessor
 	// lastFind (with its bounds denormalized into plain values, so the
-	// memo check costs two compares and no interface calls) memoizes
-	// the region of the most recent lookup: writebacks stream through
-	// one region at a time, so the binary search is almost always
-	// skipped.
-	lastFind Region
+	// memo check costs two compares) memoizes the region of the most
+	// recent lookup: writebacks stream through one region at a time, so
+	// the binary search is almost always skipped.
+	lastFind *span
 	lastBase Addr
 	lastEnd  Addr
 	// imageVer counts image mutations (writebacks and image syncs). Two
@@ -223,11 +243,6 @@ func (h *Heap) reserve(size int) Addr {
 	return base
 }
 
-func (h *Heap) addRegion(r Region) {
-	h.regions = append(h.regions, r)
-	h.bases = append(h.bases, r.Base())
-}
-
 // Writeback copies the byte range [a, a+size) from the live data into the
 // NVM image of the owning region(s). It is called by the cache simulator
 // when a dirty line is evicted or flushed. Ranges that fall outside any
@@ -235,14 +250,14 @@ func (h *Heap) addRegion(r Region) {
 func (h *Heap) Writeback(a Addr, size int) {
 	h.imageVer++
 	for size > 0 {
-		r := h.find(a)
-		if r == nil {
+		s := h.find(a)
+		if s == nil {
 			return
 		}
-		// find has primed lastBase/lastEnd with r's bounds.
+		// find has primed lastBase/lastEnd with s's bounds.
 		off := int(a - h.lastBase)
 		n := min(size, int(h.lastEnd-a))
-		r.writeback(off, n)
+		s.writeback(off, n)
 		a += Addr(n)
 		size -= n
 	}
@@ -250,29 +265,42 @@ func (h *Heap) Writeback(a Addr, size int) {
 
 // find returns the region containing address a, or nil, leaving the
 // region's bounds in lastBase/lastEnd.
-func (h *Heap) find(a Addr) Region {
-	if r := h.lastFind; r != nil && a >= h.lastBase && a < h.lastEnd {
-		return r
+func (h *Heap) find(a Addr) *span {
+	if s := h.lastFind; s != nil && a >= h.lastBase && a < h.lastEnd {
+		return s
 	}
-	i := sort.Search(len(h.bases), func(i int) bool { return h.bases[i] > a })
+	i := sort.Search(len(h.spans), func(i int) bool { return h.spans[i].base > a })
 	if i == 0 {
 		return nil
 	}
-	r, base := h.regions[i-1], h.bases[i-1]
-	end := base + Addr(r.Bytes())
+	s := h.spans[i-1]
+	end := s.base + Addr(s.Bytes())
 	if a >= end {
 		return nil
 	}
-	h.lastFind, h.lastBase, h.lastEnd = r, base, end
-	return r
+	h.lastFind, h.lastBase, h.lastEnd = s, s.base, end
+	return s
+}
+
+// word returns the region holding the 8-byte-aligned address a and a's
+// word index in it, or nil when a is unaligned or unmapped.
+func (h *Heap) word(a Addr) (*span, int) {
+	if a%8 != 0 {
+		return nil, 0
+	}
+	s := h.find(a)
+	if s == nil {
+		return nil, 0
+	}
+	return s, int(a-s.base) / 8
 }
 
 // RestartFromImage models a process restart after a crash: every region's
 // live slice is overwritten with its NVM image, discarding all values
 // that existed only in volatile state.
 func (h *Heap) RestartFromImage() {
-	for _, r := range h.regions {
-		r.restore()
+	for _, s := range h.spans {
+		s.restore()
 	}
 }
 
@@ -281,8 +309,8 @@ func (h *Heap) RestartFromImage() {
 // — matrix, right-hand side, grids — is persistent before the run).
 func (h *Heap) SyncAllImages() {
 	h.imageVer++
-	for _, r := range h.regions {
-		r.syncImage()
+	for _, s := range h.spans {
+		s.syncImage()
 	}
 }
 
@@ -299,42 +327,22 @@ func (h *Heap) Regions() []Region { return h.regions }
 // version counters: fault-model overlays are computed from pre-crash
 // state and must not perturb copy-on-write snapshot sharing.
 func (h *Heap) ImageWord(a Addr) (uint64, bool) {
-	if a%8 != 0 {
+	s, i := h.word(a)
+	if s == nil {
 		return 0, false
 	}
-	r := h.find(a)
-	if r == nil {
-		return 0, false
-	}
-	i := int(a-h.lastBase) / 8
-	switch r := r.(type) {
-	case *F64:
-		return math.Float64bits(r.image[i]), true
-	case *I64:
-		return uint64(r.image[i]), true
-	}
-	return 0, false
+	return s.image[i], true
 }
 
 // LiveWord returns the live word at 8-byte-aligned address a as raw
 // bits, or ok=false when a is unaligned or unmapped. Like ImageWord it
 // observes without charging an access or bumping counters.
 func (h *Heap) LiveWord(a Addr) (uint64, bool) {
-	if a%8 != 0 {
+	s, i := h.word(a)
+	if s == nil {
 		return 0, false
 	}
-	r := h.find(a)
-	if r == nil {
-		return 0, false
-	}
-	i := int(a-h.lastBase) / 8
-	switch r := r.(type) {
-	case *F64:
-		return math.Float64bits(r.live[i]), true
-	case *I64:
-		return uint64(r.live[i]), true
-	}
-	return 0, false
+	return s.live[i], true
 }
 
 // LineWords reads the cache line at line-aligned address a in one region
@@ -348,57 +356,26 @@ func (h *Heap) LineWords(a Addr, live, image *[LineSize / 8]uint64) int {
 	if a%LineSize != 0 {
 		return 0
 	}
-	r := h.find(a)
-	if r == nil {
+	s := h.find(a)
+	if s == nil {
 		return 0
 	}
-	i := int(a-h.lastBase) / 8
-	switch r := r.(type) {
-	case *F64:
-		n := min(LineSize/8, len(r.live)-i)
-		for k := 0; k < n; k++ {
-			live[k] = math.Float64bits(r.live[i+k])
-			image[k] = math.Float64bits(r.image[i+k])
-		}
-		return n
-	case *I64:
-		n := min(LineSize/8, len(r.live)-i)
-		for k := 0; k < n; k++ {
-			live[k] = uint64(r.live[i+k])
-			image[k] = uint64(r.image[i+k])
-		}
-		return n
-	}
-	return 0
+	i := int(a-s.base) / 8
+	copy(image[:], s.image[i:])
+	return copy(live[:], s.live[i:])
 }
 
 // LiveVersion returns the live-mutation counter of region i (in
 // Regions order). An unchanged counter proves the region's live words
 // unchanged; a changed one proves nothing (see vers).
-func (h *Heap) LiveVersion(i int) uint64 { return h.regions[i].versions().liveVer }
+func (h *Heap) LiveVersion(i int) uint64 { return h.spans[i].liveVer }
 
 // CopyLive copies region i's live words from element off on into dst as
 // raw bits and returns how many it copied: min(len(dst), the elements
 // past off). Like LiveWord it observes without charging an access or
 // bumping counters.
 func (h *Heap) CopyLive(dst []uint64, i, off int) int {
-	switch r := h.regions[i].(type) {
-	case *F64:
-		src := r.live[off:]
-		n := min(len(dst), len(src))
-		for k, v := range src[:n] {
-			dst[k] = math.Float64bits(v)
-		}
-		return n
-	case *I64:
-		src := r.live[off:]
-		n := min(len(dst), len(src))
-		for k, v := range src[:n] {
-			dst[k] = uint64(v)
-		}
-		return n
-	}
-	panic(fmt.Sprintf("mem: cannot copy region type %T", h.regions[i]))
+	return copy(dst, h.spans[i].live[off:])
 }
 
 // StorePersistWord overwrites both the live and image word at
@@ -410,73 +387,90 @@ func (h *Heap) CopyLive(dst []uint64, i, off int) int {
 // writeback followed by a restart, so copy-on-write snapshot sharing
 // and restore memoization stay sound.
 func (h *Heap) StorePersistWord(a Addr, w uint64) bool {
-	if a%8 != 0 {
+	s, i := h.word(a)
+	if s == nil {
 		return false
 	}
-	r := h.find(a)
-	if r == nil {
-		return false
-	}
-	i := int(a-h.lastBase) / 8
-	switch r := r.(type) {
-	case *F64:
-		f := math.Float64frombits(w)
-		r.live[i] = f
-		r.image[i] = f
-	case *I64:
-		r.live[i] = int64(w)
-		r.image[i] = int64(w)
-	default:
-		return false
-	}
-	v := r.versions()
-	v.liveVer++
-	v.imageVer++
+	s.live[i], s.image[i] = w, w
+	s.liveVer++
+	s.imageVer++
 	h.imageVer++
 	return true
 }
 
-// F64 is a region of float64 elements.
-type F64 struct {
+// span is the element-type-free half of a region: its identity, its
+// version counters and its live and image contents as raw words. It
+// implements Region for both element types.
+type span struct {
 	vers
-	h     *Heap
-	name  string
-	base  Addr
-	live  []float64
-	image []float64
+	h           *Heap
+	name        string
+	base        Addr
+	kind        Kind
+	live, image []uint64 // word views of the typed slices (wordsOf)
 }
+
+// word is the element types a region may hold. Each is 8 bytes with
+// uint64's alignment, which is what lets wordsOf view them as words.
+type word interface{ float64 | int64 }
+
+// wordsOf views s as raw words. The view aliases s bit for bit: a write
+// through either is seen through the other.
+func wordsOf[T word](s []T) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
+}
+
+// Words is a region of 8-byte elements of type T. Its typed accessors
+// and its Region word methods are two views of the same operations:
+// LoadRange and LoadWords, say, count, bill and bump alike.
+type Words[T word] struct {
+	span
+	live, image []T // the memory span.live and span.image view as words
+}
+
+// F64 is a region of float64 elements.
+type F64 = Words[float64]
+
+// I64 is a region of int64 elements.
+type I64 = Words[int64]
 
 // AllocF64 allocates a float64 region of n elements with both live and
 // image contents zeroed.
-func (h *Heap) AllocF64(name string, n int) *F64 {
-	r := &F64{
-		h:     h,
-		name:  name,
-		base:  h.reserve(8 * n),
-		live:  make([]float64, n),
-		image: make([]float64, n),
-	}
-	h.addRegion(r)
+func (h *Heap) AllocF64(name string, n int) *F64 { return alloc[float64](h, name, n, KindF64) }
+
+// AllocI64 allocates an int64 region of n elements with both live and
+// image contents zeroed.
+func (h *Heap) AllocI64(name string, n int) *I64 { return alloc[int64](h, name, n, KindI64) }
+
+func alloc[T word](h *Heap, name string, n int, kind Kind) *Words[T] {
+	base := h.reserve(8 * n)
+	r := &Words[T]{live: make([]T, n), image: make([]T, n)}
+	r.span = span{h: h, name: name, base: base, kind: kind, live: wordsOf(r.live), image: wordsOf(r.image)}
+	h.regions = append(h.regions, r)
+	h.spans = append(h.spans, &r.span)
 	return r
 }
 
 // Name implements Region.
-func (r *F64) Name() string { return r.name }
+func (s *span) Name() string { return s.name }
 
 // Base implements Region.
-func (r *F64) Base() Addr { return r.base }
+func (s *span) Base() Addr { return s.base }
 
 // Bytes implements Region.
-func (r *F64) Bytes() int { return 8 * len(r.live) }
+func (s *span) Bytes() int { return 8 * len(s.live) }
 
-// Len returns the number of elements.
-func (r *F64) Len() int { return len(r.live) }
+// Len implements Region.
+func (s *span) Len() int { return len(s.live) }
 
-// Addr returns the simulated address of element i.
-func (r *F64) Addr(i int) Addr { return r.base + Addr(8*i) }
+// Addr implements Region.
+func (s *span) Addr(i int) Addr { return s.base + Addr(8*i) }
+
+// Kind implements Region.
+func (s *span) Kind() Kind { return s.kind }
 
 // At performs a simulated load of element i and returns its live value.
-func (r *F64) At(i int) float64 {
+func (r *Words[T]) At(i int) T {
 	h := r.h
 	h.count()
 	h.acc.Load(r.Addr(i), 8)
@@ -484,7 +478,7 @@ func (r *F64) At(i int) float64 {
 }
 
 // Set performs a simulated store of v into element i.
-func (r *F64) Set(i int, v float64) {
+func (r *Words[T]) Set(i int, v T) {
 	h := r.h
 	h.count()
 	h.acc.Store(r.Addr(i), 8)
@@ -498,7 +492,7 @@ func (r *F64) Set(i int, v float64) {
 // out of range, which panics after its wild load was billed — but the
 // loads reach the accessor in one LoadEach call per stretch between
 // heap stops.
-func (r *F64) Gather(dst []float64, off int, idx []int64) []float64 {
+func (r *Words[T]) Gather(dst []T, off int, idx []int64) []T {
 	live, base := r.live, r.Addr(off)
 	for k, j := range idx {
 		i := off + int(j)
@@ -521,181 +515,104 @@ func (r *F64) Gather(dst []float64, off int, idx []int64) []float64 {
 // an eviction in that window would freeze partial values into the NVM
 // image with no later writeback.
 //
-// All four range accessors take the sub-slice before billing the
+// All the range accessors take the sub-slice before billing the
 // simulated access: a range that is out of bounds (recovery code may
 // compute one from a corrupted persistent image) must panic at once,
 // not after the simulator has walked every line of it.
-func (r *F64) LoadRange(i, n int) []float64 {
+func (r *Words[T]) LoadRange(i, n int) []T {
 	s := r.live[i : i+n]
-	if n > 0 {
-		h := r.h
-		h.count()
-		h.acc.Load(r.Addr(i), 8*n)
-	}
+	r.load(i, n)
 	return s
 }
 
 // StoreRange performs a simulated store over elements [i, i+n) and
 // returns the live sub-slice for the caller to fill.
-func (r *F64) StoreRange(i, n int) []float64 {
+func (r *Words[T]) StoreRange(i, n int) []T {
 	s := r.live[i : i+n]
-	if n > 0 {
-		h := r.h
-		h.count()
-		h.acc.Store(r.Addr(i), 8*n)
-	}
-	r.liveVer++
+	r.store(i, n)
 	return s
+}
+
+// LoadWords implements Region.
+func (s *span) LoadWords(i, n int) []uint64 {
+	w := s.live[i : i+n]
+	s.load(i, n)
+	return w
+}
+
+// StoreWords implements Region.
+func (s *span) StoreWords(i, n int) []uint64 {
+	w := s.live[i : i+n]
+	s.store(i, n)
+	return w
+}
+
+// load counts and bills a load of elements [i, i+n); an empty range is
+// free.
+func (s *span) load(i, n int) {
+	if n > 0 {
+		h := s.h
+		h.count()
+		h.acc.Load(s.Addr(i), 8*n)
+	}
+}
+
+// store counts and bills a store over elements [i, i+n) and bumps the
+// live version; an empty range is not billed.
+func (s *span) store(i, n int) {
+	if n > 0 {
+		h := s.h
+		h.count()
+		h.acc.Store(s.Addr(i), 8*n)
+	}
+	s.liveVer++
 }
 
 // Image returns the persistent NVM image of the region. Recovery code
 // reads this after a crash; it must not be mutated except through
 // writebacks and restores.
-func (r *F64) Image() []float64 {
-	r.imageVer++
-	r.h.imageVer++
+func (r *Words[T]) Image() []T {
+	r.ImageWords()
 	return r.image
 }
 
 // Live returns the live slice without charging a simulated access. It is
 // intended for test assertions and result extraction after a run.
-func (r *F64) Live() []float64 {
-	r.liveVer++
+func (r *Words[T]) Live() []T {
+	r.LiveWords()
 	return r.live
 }
 
-func (r *F64) writeback(off, n int) {
-	lo := off / 8
-	hi := (off + n + 7) / 8
-	if hi > len(r.live) {
-		hi = len(r.live)
-	}
-	r.imageVer++
-	copy(r.image[lo:hi], r.live[lo:hi])
+// ImageWords implements Region.
+func (s *span) ImageWords() []uint64 {
+	s.imageVer++
+	s.h.imageVer++
+	return s.image
 }
 
-func (r *F64) restore() {
-	r.liveVer++
-	copy(r.live, r.image)
+// LiveWords implements Region.
+func (s *span) LiveWords() []uint64 {
+	s.liveVer++
+	return s.live
 }
 
-func (r *F64) syncImage() {
-	r.imageVer++
-	copy(r.image, r.live)
+// writeback copies bytes [off, off+n) from live to image.
+func (s *span) writeback(off, n int) {
+	lo, hi := off/8, min((off+n+7)/8, len(s.live))
+	s.imageVer++
+	copy(s.image[lo:hi], s.live[lo:hi])
 }
 
-// I64 is a region of int64 elements.
-type I64 struct {
-	vers
-	h     *Heap
-	name  string
-	base  Addr
-	live  []int64
-	image []int64
+// restore copies the whole image into the live slice (restart).
+func (s *span) restore() {
+	s.liveVer++
+	copy(s.live, s.image)
 }
 
-// AllocI64 allocates an int64 region of n elements with both live and
-// image contents zeroed.
-func (h *Heap) AllocI64(name string, n int) *I64 {
-	r := &I64{
-		h:     h,
-		name:  name,
-		base:  h.reserve(8 * n),
-		live:  make([]int64, n),
-		image: make([]int64, n),
-	}
-	h.addRegion(r)
-	return r
-}
-
-// Name implements Region.
-func (r *I64) Name() string { return r.name }
-
-// Base implements Region.
-func (r *I64) Base() Addr { return r.base }
-
-// Bytes implements Region.
-func (r *I64) Bytes() int { return 8 * len(r.live) }
-
-// Len returns the number of elements.
-func (r *I64) Len() int { return len(r.live) }
-
-// Addr returns the simulated address of element i.
-func (r *I64) Addr(i int) Addr { return r.base + Addr(8*i) }
-
-// At performs a simulated load of element i and returns its live value.
-func (r *I64) At(i int) int64 {
-	h := r.h
-	h.count()
-	h.acc.Load(r.Addr(i), 8)
-	return r.live[i]
-}
-
-// Set performs a simulated store of v into element i.
-func (r *I64) Set(i int, v int64) {
-	h := r.h
-	h.count()
-	h.acc.Store(r.Addr(i), 8)
-	r.liveVer++
-	r.live[i] = v
-}
-
-// LoadRange performs a simulated load of elements [i, i+n) and returns
-// the live sub-slice. The caller must treat the result as read-only.
-func (r *I64) LoadRange(i, n int) []int64 {
-	s := r.live[i : i+n]
-	if n > 0 {
-		h := r.h
-		h.count()
-		h.acc.Load(r.Addr(i), 8*n)
-	}
-	return s
-}
-
-// StoreRange performs a simulated store over elements [i, i+n) and
-// returns the live sub-slice for the caller to fill.
-func (r *I64) StoreRange(i, n int) []int64 {
-	s := r.live[i : i+n]
-	if n > 0 {
-		h := r.h
-		h.count()
-		h.acc.Store(r.Addr(i), 8*n)
-	}
-	r.liveVer++
-	return s
-}
-
-// Image returns the persistent NVM image of the region.
-func (r *I64) Image() []int64 {
-	r.imageVer++
-	r.h.imageVer++
-	return r.image
-}
-
-// Live returns the live slice without charging a simulated access.
-func (r *I64) Live() []int64 {
-	r.liveVer++
-	return r.live
-}
-
-func (r *I64) writeback(off, n int) {
-	lo := off / 8
-	hi := (off + n + 7) / 8
-	if hi > len(r.live) {
-		hi = len(r.live)
-	}
-	r.imageVer++
-	copy(r.image[lo:hi], r.live[lo:hi])
-}
-
-func (r *I64) restore() {
-	r.liveVer++
-	copy(r.live, r.image)
-}
-
-func (r *I64) syncImage() {
-	r.imageVer++
-	copy(r.image, r.live)
+// syncImage copies the whole live slice into the image.
+func (s *span) syncImage() {
+	s.imageVer++
+	copy(s.image, s.live)
 }
 
 // String aids debugging.
@@ -729,15 +646,13 @@ type ImageState struct {
 	hash    uint64
 }
 
-// imageRegion is one region's image copy. Exactly one of f64/i64 is
-// populated (matching the region type); ver is the region's image
+// imageRegion is one region's image words; ver is the region's image
 // version at capture time and hash is the content hash (HashWord chain).
 // An imageRegion is never mutated after SnapshotImages returns it.
 type imageRegion struct {
-	f64  []float64
-	i64  []int64
-	ver  uint64
-	hash uint64
+	words []uint64
+	ver   uint64
+	hash  uint64
 }
 
 // SnapshotImages captures the persistent images of all regions. If prev
@@ -746,29 +661,17 @@ type imageRegion struct {
 // version counters are bumped by every image-mutating path, so an equal
 // version proves equal contents).
 func (h *Heap) SnapshotImages(prev *ImageState) *ImageState {
-	st := &ImageState{src: h, regions: make([]*imageRegion, len(h.regions))}
-	share := prev != nil && prev.src == h && len(prev.regions) <= len(h.regions)
+	st := &ImageState{src: h, regions: make([]*imageRegion, len(h.spans))}
+	share := prev != nil && prev.src == h && len(prev.regions) <= len(h.spans)
 	hash := hashSeed
-	for i, r := range h.regions {
-		v := r.versions()
-		if share && i < len(prev.regions) && prev.regions[i].ver == v.imageVer {
+	for i, s := range h.spans {
+		if share && i < len(prev.regions) && prev.regions[i].ver == s.imageVer {
 			st.regions[i] = prev.regions[i]
 		} else {
-			e := &imageRegion{ver: v.imageVer}
+			e := &imageRegion{words: append([]uint64(nil), s.image...), ver: s.imageVer}
 			eh := hashSeed
-			switch r := r.(type) {
-			case *F64:
-				e.f64 = append([]float64(nil), r.image...)
-				for _, x := range e.f64 {
-					eh = HashWord(eh, math.Float64bits(x))
-				}
-			case *I64:
-				e.i64 = append([]int64(nil), r.image...)
-				for _, x := range e.i64 {
-					eh = HashWord(eh, uint64(x))
-				}
-			default:
-				panic(fmt.Sprintf("mem: cannot snapshot region type %T", r))
+			for _, w := range e.words {
+				eh = HashWord(eh, w)
 			}
 			e.hash = eh
 			st.regions[i] = e
@@ -802,39 +705,27 @@ type imgMark struct {
 // which makes replaying many crash points against one shared prefix
 // nearly free when consecutive points share image state.
 func (h *Heap) RestoreImages(st *ImageState) {
-	if len(st.regions) != len(h.regions) {
+	if len(st.regions) != len(h.spans) {
 		panic(fmt.Sprintf("mem: restore of %d-region image state onto %d-region heap",
-			len(st.regions), len(h.regions)))
+			len(st.regions), len(h.spans)))
 	}
-	if len(h.imgMarks) != len(h.regions) {
-		h.imgMarks = make([]imgMark, len(h.regions))
+	if len(h.imgMarks) != len(h.spans) {
+		h.imgMarks = make([]imgMark, len(h.spans))
 	}
 	for i, e := range st.regions {
-		r := h.regions[i]
-		v := r.versions()
+		s := h.spans[i]
 		mk := &h.imgMarks[i]
-		if mk.entry == e && mk.liveVer == v.liveVer && mk.imageVer == v.imageVer {
+		if mk.entry == e && mk.liveVer == s.liveVer && mk.imageVer == s.imageVer {
 			continue
 		}
-		switch r := r.(type) {
-		case *F64:
-			if len(e.f64) != len(r.live) {
-				panic(fmt.Sprintf("mem: image restore length mismatch on %q", r.name))
-			}
-			copy(r.live, e.f64)
-			copy(r.image, e.f64)
-		case *I64:
-			if len(e.i64) != len(r.live) {
-				panic(fmt.Sprintf("mem: image restore length mismatch on %q", r.name))
-			}
-			copy(r.live, e.i64)
-			copy(r.image, e.i64)
-		default:
-			panic(fmt.Sprintf("mem: cannot restore region type %T", r))
+		if len(e.words) != len(s.live) {
+			panic(fmt.Sprintf("mem: image restore length mismatch on %q", s.name))
 		}
-		v.liveVer++
-		v.imageVer++
-		*mk = imgMark{entry: e, liveVer: v.liveVer, imageVer: v.imageVer}
+		copy(s.live, e.words)
+		copy(s.image, e.words)
+		s.liveVer++
+		s.imageVer++
+		*mk = imgMark{entry: e, liveVer: s.liveVer, imageVer: s.imageVer}
 	}
 	h.imageVer++
 }
@@ -846,7 +737,7 @@ func (a *ImageState) Hash() uint64 { return a.hash }
 // Equal reports whether two image snapshots are bit-identical. Shared
 // entries and same-heap same-version entries are proven equal without
 // touching the data; everything else falls back to a hash compare and
-// then a content compare (floats by bit pattern).
+// then a word compare.
 func (a *ImageState) Equal(b *ImageState) bool {
 	if a == b {
 		return true
@@ -860,18 +751,8 @@ func (a *ImageState) Equal(b *ImageState) bool {
 		if ra == rb || (sameSrc && ra.ver == rb.ver) {
 			continue
 		}
-		if ra.hash != rb.hash || len(ra.f64) != len(rb.f64) || len(ra.i64) != len(rb.i64) {
+		if ra.hash != rb.hash || !slices.Equal(ra.words, rb.words) {
 			return false
-		}
-		for j, v := range ra.f64 {
-			if math.Float64bits(v) != math.Float64bits(rb.f64[j]) {
-				return false
-			}
-		}
-		for j, v := range ra.i64 {
-			if v != rb.i64[j] {
-				return false
-			}
 		}
 	}
 	return true

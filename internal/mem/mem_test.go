@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -200,22 +201,101 @@ func TestSyncAllImages(t *testing.T) {
 	}
 }
 
+// TestI64Region: the accessors store, load and write back elements of
+// either type bit for bit, NaN payloads and -0 included.
 func TestI64Region(t *testing.T) {
-	h := NewHeap(nil)
-	r := h.AllocI64("n", 10)
-	r.Set(5, -3)
-	if got := r.At(5); got != -3 {
-		t.Fatalf("At(5) = %d, want -3", got)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"I64", func(t *testing.T) {
+			regionRoundTrip(t, (*Heap).AllocI64, [4]int64{-3, -1, math.MinInt64, 0x7ff0000000000001})
+		}},
+		{"F64", func(t *testing.T) {
+			regionRoundTrip(t, (*Heap).AllocF64, [4]float64{-3, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff0000000000001)})
+		}},
+	} {
+		t.Run(tc.name, tc.run)
 	}
-	s := r.StoreRange(0, 3)
-	s[0], s[1], s[2] = 1, 2, 3
-	got := r.LoadRange(0, 3)
-	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("range roundtrip = %v", got)
+}
+
+// regionRoundTrip puts vals[0] through Set and At and vals[1:] through
+// StoreRange and LoadRange, then writes the region back and reads the
+// image, comparing words throughout.
+func regionRoundTrip[T word](t *testing.T, alloc func(*Heap, string, int) *Words[T], vals [4]T) {
+	h := NewHeap(nil)
+	r := alloc(h, "n", 10)
+	want := wordsOf(vals[:])
+	r.Set(5, vals[0])
+	if got := r.At(5); bits(got) != want[0] {
+		t.Fatalf("At(5) = %#x, want %#x", bits(got), want[0])
+	}
+	copy(r.StoreRange(0, 3), vals[1:])
+	if got := wordsOf(r.LoadRange(0, 3)); !slices.Equal(got, want[1:]) {
+		t.Fatalf("range roundtrip = %#x, want %#x", got, want[1:])
 	}
 	h.Writeback(r.Base(), r.Bytes())
-	if r.Image()[5] != -3 {
-		t.Fatal("I64 writeback failed")
+	img := r.Image()
+	if bits(img[5]) != want[0] || !slices.Equal(wordsOf(img[:3]), want[1:]) {
+		t.Fatalf("writeback left image %#x", wordsOf(img))
+	}
+}
+
+func bits[T word](v T) uint64 { return wordsOf([]T{v})[0] }
+
+// TestWordViewVersions pins the version contract of the word views.
+// Copy-on-write capture and converge's live-word memo read an unmoved
+// counter as unmoved words, so a view that hands out a mutable slice
+// must bump exactly like its typed twin, and the observers (CopyLive,
+// LineWords, LiveWord, ImageWord) must bump nothing.
+func TestWordViewVersions(t *testing.T) {
+	rec := &recordingAccessor{}
+	h := NewHeap(rec)
+	f := h.AllocF64("f", 16)
+	q := h.AllocI64("q", 16)
+	// f live, f image, q live, q image, heap image, ops, accesses
+	state := func() [7]uint64 {
+		return [7]uint64{f.liveVer, f.imageVer, q.liveVer, q.imageVer, h.imageVer,
+			uint64(h.Ops()), uint64(len(rec.loads) + len(rec.stores))}
+	}
+	var buf, line [LineSize / 8]uint64
+	for _, tc := range []struct {
+		name string
+		do   func()
+		want [7]uint64 // the change in state
+	}{
+		{"F64.Live", func() { f.Live() }, [7]uint64{1, 0, 0, 0, 0, 0, 0}},
+		{"F64.LiveWords", func() { f.LiveWords() }, [7]uint64{1, 0, 0, 0, 0, 0, 0}},
+		{"I64.Live", func() { q.Live() }, [7]uint64{0, 0, 1, 0, 0, 0, 0}},
+		{"I64.LiveWords", func() { q.LiveWords() }, [7]uint64{0, 0, 1, 0, 0, 0, 0}},
+		{"F64.Image", func() { f.Image() }, [7]uint64{0, 1, 0, 0, 1, 0, 0}},
+		{"F64.ImageWords", func() { f.ImageWords() }, [7]uint64{0, 1, 0, 0, 1, 0, 0}},
+		{"I64.Image", func() { q.Image() }, [7]uint64{0, 0, 0, 1, 1, 0, 0}},
+		{"I64.ImageWords", func() { q.ImageWords() }, [7]uint64{0, 0, 0, 1, 1, 0, 0}},
+		{"F64.LoadRange", func() { f.LoadRange(2, 3) }, [7]uint64{0, 0, 0, 0, 0, 1, 1}},
+		{"F64.LoadWords", func() { f.LoadWords(2, 3) }, [7]uint64{0, 0, 0, 0, 0, 1, 1}},
+		{"I64.StoreRange", func() { q.StoreRange(2, 3) }, [7]uint64{0, 0, 1, 0, 0, 1, 1}},
+		{"I64.StoreWords", func() { q.StoreWords(2, 3) }, [7]uint64{0, 0, 1, 0, 0, 1, 1}},
+		{"CopyLive", func() { h.CopyLive(buf[:], 0, 0); h.CopyLive(buf[:], 1, 3) }, [7]uint64{}},
+		{"LineWords", func() { h.LineWords(f.Base(), &buf, &line); h.LineWords(q.Base(), &buf, &line) }, [7]uint64{}},
+		{"LiveWord and ImageWord", func() { h.LiveWord(f.Addr(1)); h.ImageWord(q.Addr(1)) }, [7]uint64{}},
+	} {
+		before := state()
+		tc.do()
+		after := state()
+		var got [7]uint64
+		for k := range got {
+			got[k] = after[k] - before[k]
+		}
+		if got != tc.want {
+			t.Errorf("%s moved (f live, f image, q live, q image, heap image, ops, accesses) by %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	// The views alias the typed slices.
+	f.LiveWords()[1] = 0x7ff0000000000001
+	q.ImageWords()[1] = 1 << 63
+	if bits(f.Live()[1]) != 0x7ff0000000000001 || q.Image()[1] != math.MinInt64 {
+		t.Errorf("word views do not alias: f live %#x, q image %#x", bits(f.Live()[1]), q.Image()[1])
 	}
 }
 
@@ -223,13 +303,13 @@ func TestFindRegionBoundaries(t *testing.T) {
 	h := NewHeap(nil)
 	a := h.AllocF64("a", 8)
 	b := h.AllocF64("b", 8)
-	if r := h.find(a.Base()); r != Region(a) {
+	if r := h.find(a.Base()); r != &a.span {
 		t.Error("find(a.Base) != a")
 	}
-	if r := h.find(a.Base() + Addr(a.Bytes()) - 1); r != Region(a) {
+	if r := h.find(a.Base() + Addr(a.Bytes()) - 1); r != &a.span {
 		t.Error("find(last byte of a) != a")
 	}
-	if r := h.find(b.Base()); r != Region(b) {
+	if r := h.find(b.Base()); r != &b.span {
 		t.Error("find(b.Base) != b")
 	}
 }
@@ -250,15 +330,15 @@ func TestFindUnmapped(t *testing.T) {
 	end := c.Base() + Addr(c.Bytes())
 	for _, tc := range []struct {
 		name  string
-		prime Region
+		prime *span
 		at    Addr
 	}{
-		{"first byte of the gap", a, gap},
-		{"last byte of the gap", b, b.Base() - 1},
-		{"address 0", a, 0},
-		{"just past the last region", c, end},
-		{"far past the last region", b, end + 1<<40},
-		{"the top of the address space", c, ^Addr(0)},
+		{"first byte of the gap", &a.span, gap},
+		{"last byte of the gap", &b.span, b.Base() - 1},
+		{"address 0", &a.span, 0},
+		{"just past the last region", &c.span, end},
+		{"far past the last region", &b.span, end + 1<<40},
+		{"the top of the address space", &c.span, ^Addr(0)},
 	} {
 		if r := h.find(tc.prime.Base()); r != tc.prime {
 			t.Fatalf("%s: priming find(%s.Base) = %v", tc.name, tc.prime.Name(), r)
@@ -331,42 +411,65 @@ func TestWritebackRangeProperty(t *testing.T) {
 
 // TestLineWords: one region lookup per line must agree with the
 // word-at-a-time accessors everywhere, including the padded tail of a
-// region's last line, the unmapped lines around the heap, and both
-// region types.
+// region's last line and the unmapped lines around the heap, whichever
+// element type the padded region holds.
 func TestLineWords(t *testing.T) {
-	h := NewHeap(nil)
-	f := h.AllocF64("f", 11) // second line: 3 words mapped, 5 padding
-	q := h.AllocI64("q", 8)
-	for i := 0; i < f.Len(); i++ {
-		f.Set(i, float64(i)+0.5)
-	}
-	for i := 0; i < q.Len(); i++ {
-		q.Set(i, int64(-i-1))
-	}
-	h.Writeback(f.Addr(0), 16)
-	h.Writeback(q.Addr(4), 8)
-
-	for line := Addr(0); line <= q.Base()+2*LineSize; line += LineSize {
-		var live, image [LineSize / 8]uint64
-		n := h.LineWords(line, &live, &image)
-		for i := 0; i < LineSize/8; i++ {
-			a := line + Addr(8*i)
-			lw, lok := h.LiveWord(a)
-			iw, iok := h.ImageWord(a)
-			if lok != (i < n) || iok != (i < n) {
-				t.Fatalf("line %#x word %d: LineWords maps %d words, LiveWord ok=%v ImageWord ok=%v", line, i, n, lok, iok)
-			}
-			if i < n && (live[i] != lw || image[i] != iw) {
-				t.Fatalf("line %#x word %d: LineWords (%#x, %#x), word accessors (%#x, %#x)", line, i, live[i], image[i], lw, iw)
-			}
+	fillF := func(r *F64) {
+		for i := range r.Len() {
+			r.Set(i, float64(i)+0.5)
 		}
 	}
-	var live, image [LineSize / 8]uint64
-	if n := h.LineWords(f.Base()+LineSize, &live, &image); n != 3 {
-		t.Errorf("padded tail line maps %d words, want 3", n)
+	fillI := func(r *I64) {
+		for i := range r.Len() {
+			r.Set(i, int64(-i-1))
+		}
 	}
-	if n := h.LineWords(f.Base()+8, &live, &image); n != 0 {
-		t.Errorf("unaligned line address maps %d words, want 0", n)
+	for _, tc := range []struct {
+		name  string
+		alloc func(h *Heap) (tail, full Region) // 11 and 8 elements
+	}{
+		{"F64 tail", func(h *Heap) (Region, Region) {
+			f, q := h.AllocF64("f", 11), h.AllocI64("q", 8)
+			fillF(f)
+			fillI(q)
+			return f, q
+		}},
+		{"I64 tail", func(h *Heap) (Region, Region) {
+			q, f := h.AllocI64("q", 11), h.AllocF64("f", 8)
+			fillI(q)
+			fillF(f)
+			return q, f
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := NewHeap(nil)
+			tail, full := tc.alloc(h) // tail's second line: 3 words mapped, 5 padding
+			h.Writeback(tail.Addr(0), 16)
+			h.Writeback(full.Addr(4), 8)
+
+			for line := Addr(0); line <= full.Base()+2*LineSize; line += LineSize {
+				var live, image [LineSize / 8]uint64
+				n := h.LineWords(line, &live, &image)
+				for i := 0; i < LineSize/8; i++ {
+					a := line + Addr(8*i)
+					lw, lok := h.LiveWord(a)
+					iw, iok := h.ImageWord(a)
+					if lok != (i < n) || iok != (i < n) {
+						t.Fatalf("line %#x word %d: LineWords maps %d words, LiveWord ok=%v ImageWord ok=%v", line, i, n, lok, iok)
+					}
+					if i < n && (live[i] != lw || image[i] != iw) {
+						t.Fatalf("line %#x word %d: LineWords (%#x, %#x), word accessors (%#x, %#x)", line, i, live[i], image[i], lw, iw)
+					}
+				}
+			}
+			var live, image [LineSize / 8]uint64
+			if n := h.LineWords(tail.Base()+LineSize, &live, &image); n != 3 {
+				t.Errorf("padded tail line maps %d words, want 3", n)
+			}
+			if n := h.LineWords(tail.Base()+8, &live, &image); n != 0 {
+				t.Errorf("unaligned line address maps %d words, want 0", n)
+			}
+		})
 	}
 }
 

@@ -14,7 +14,9 @@
 //
 // The log itself lives in simulated NVM regions, so recovery after an
 // injected crash operates purely on the persistent image, like the real
-// library.
+// library. It holds old values as raw 8-byte words, so a pool takes
+// regions of any element type; each entry header names its region by
+// mem.Kind and the region's index among the registered ones of that kind.
 package pmem
 
 import (
@@ -25,36 +27,29 @@ import (
 	"adcc/internal/mem"
 )
 
-// regionKind discriminates logged region types.
-type regionKind int64
-
-const (
-	kindF64 regionKind = 0
-	kindI64 regionKind = 1
-)
-
 // Pool is a persistent object pool: a set of registered regions plus an
 // undo log, all in simulated NVM.
 type Pool struct {
 	m *crash.Machine
 
-	f64s []*mem.F64
-	i64s []*mem.I64
+	// regions lists the registered regions by element kind (indexed by
+	// mem.Kind). The log knows a region by its kind and its index in
+	// that kind's list, the id.
+	regions [2][]mem.Region
 
-	// snapF64/snapI64 hold one epoch stamp per cache line of each
+	// stamps[kind][id] holds one epoch stamp per cache line of a
 	// registered region, keyed by line index — the flat-slice
 	// replacement for the per-transaction map that used to dedup
 	// snapshots. A line is snapshotted in the current transaction iff
 	// its stamp equals epoch; Begin bumps epoch, invalidating every
 	// stamp in O(1).
-	snapF64 [][]uint64
-	snapI64 [][]uint64
-	epoch   uint64
+	stamps [2][][]uint64
+	epoch  uint64
 
-	// Undo log: meta holds (kind, regionID, start, n) quadruples,
-	// vals holds the old element values (int64 payloads bit-cast).
-	// head[0] is the number of valid entries; it is flushed on every
-	// append and on truncation, making it the log's validity marker.
+	// Undo log: meta holds (kind, id, start, n) quadruples, vals holds
+	// the old element values as raw words. head[0] is the number of
+	// valid entries; it is flushed on every append and on truncation,
+	// making it the log's validity marker.
 	meta *mem.I64
 	vals *mem.F64
 	head *mem.I64
@@ -67,13 +62,6 @@ type Pool struct {
 	// tx is the pool's reusable transaction object; Begin hands it out
 	// after resetting it, so steady-state transactions allocate nothing.
 	tx Tx
-}
-
-// lineStamps allocates one epoch stamp per cache line covering n
-// elements (8 bytes each).
-func lineStamps(n int) []uint64 {
-	const perLine = mem.LineSize / 8
-	return make([]uint64, (n+perLine-1)/perLine)
 }
 
 // metaSlots is the number of I64 slots per log entry header.
@@ -101,31 +89,27 @@ func NewPool(m *crash.Machine, logElems int) *Pool {
 	return p
 }
 
-// RegisterF64 adds a float64 region to the pool's transactional domain.
-func (p *Pool) RegisterF64(r *mem.F64) {
-	p.f64s = append(p.f64s, r)
-	p.snapF64 = append(p.snapF64, lineStamps(r.Len()))
-}
-
-// RegisterI64 adds an int64 region to the pool's transactional domain.
-func (p *Pool) RegisterI64(r *mem.I64) {
-	p.i64s = append(p.i64s, r)
-	p.snapI64 = append(p.snapI64, lineStamps(r.Len()))
-}
-
-func (p *Pool) f64ID(r *mem.F64) int64 {
-	for i, x := range p.f64s {
-		if x == r {
-			return int64(i)
-		}
+// Register adds regions, of any element type, to the pool's
+// transactional domain.
+func (p *Pool) Register(regions ...mem.Region) {
+	const perLine = mem.LineSize / 8
+	for _, r := range regions {
+		k := r.Kind()
+		p.regions[k] = append(p.regions[k], r)
+		p.stamps[k] = append(p.stamps[k], make([]uint64, (r.Len()+perLine-1)/perLine))
 	}
-	panic(fmt.Sprintf("pmem: region %q not registered", r.Name()))
 }
 
-func (p *Pool) i64ID(r *mem.I64) int64 {
-	for i, x := range p.i64s {
+// RegisterF64 adds a float64 region to the pool's transactional domain.
+func (p *Pool) RegisterF64(r *mem.F64) { p.Register(r) }
+
+// id returns the log's name for a registered region: its kind and its
+// index among the registered regions of that kind.
+func (p *Pool) id(r mem.Region) (mem.Kind, int64) {
+	k := r.Kind()
+	for i, x := range p.regions[k] {
 		if x == r {
-			return int64(i)
+			return k, int64(i)
 		}
 	}
 	panic(fmt.Sprintf("pmem: region %q not registered", r.Name()))
@@ -141,7 +125,7 @@ type Tx struct {
 }
 
 type writtenRange struct {
-	kind regionKind
+	kind mem.Kind
 	id   int64
 	lo   int
 	hi   int // exclusive
@@ -168,8 +152,8 @@ func (p *Pool) LogEntries() int { return p.entries }
 // beginEntry reserves one undo entry, writes its header, and returns
 // the payload destination in the log's value area. The caller fills the
 // payload and then calls finishEntry — split this way so the snapshot
-// paths need no per-line closures.
-func (p *Pool) beginEntry(kind regionKind, id int64, start, n int) []float64 {
+// path needs no per-line closures.
+func (p *Pool) beginEntry(kind mem.Kind, id int64, start, n int) []uint64 {
 	if p.valsLen+n > p.vals.Len() || p.metaLen+metaSlots > p.meta.Len() {
 		panic("pmem: undo log overflow; increase pool log capacity")
 	}
@@ -178,7 +162,7 @@ func (p *Pool) beginEntry(kind regionKind, id int64, start, n int) []float64 {
 	hdr[1] = id
 	hdr[2] = int64(start)
 	hdr[3] = int64(n)
-	return p.vals.StoreRange(p.valsLen, n)
+	return p.vals.StoreWords(p.valsLen, n)
 }
 
 // finishEntry flushes the entry written by the matching beginEntry and
@@ -198,14 +182,14 @@ func (p *Pool) finishEntry(n int) {
 	p.m.Clock.Advance(drainNS)
 }
 
-// SnapshotF64 logs the old contents of elements [i, i+n) of r, as
+// Snapshot logs the old contents of elements [i, i+n) of r, as
 // pmemobj_tx_add_range does. Redundant snapshots within one transaction
 // are deduplicated at line granularity via the pool's epoch stamps.
-func (tx *Tx) SnapshotF64(r *mem.F64, i, n int) {
+func (tx *Tx) Snapshot(r mem.Region, i, n int) {
 	const perLine = mem.LineSize / 8
 	p := tx.p
-	id := p.f64ID(r)
-	stamps := p.snapF64[id]
+	kind, id := p.id(r)
+	stamps := p.stamps[kind][id]
 	limit := r.Len()
 	first := i / perLine
 	last := (i + n - 1) / perLine
@@ -219,75 +203,42 @@ func (tx *Tx) SnapshotF64(r *mem.F64, i, n int) {
 		if lo+ln > limit {
 			ln = limit - lo
 		}
-		old := r.LoadRange(lo, ln)
-		dst := p.beginEntry(kindF64, id, lo, ln)
-		copy(dst, old)
+		old := r.LoadWords(lo, ln)
+		copy(p.beginEntry(kind, id, lo, ln), old)
 		p.finishEntry(ln)
 	}
 }
 
-// SnapshotI64 logs the old contents of elements [i, i+n) of r.
-func (tx *Tx) SnapshotI64(r *mem.I64, i, n int) {
-	const perLine = mem.LineSize / 8
-	p := tx.p
-	id := p.i64ID(r)
-	stamps := p.snapI64[id]
-	limit := r.Len()
-	first := i / perLine
-	last := (i + n - 1) / perLine
-	for line := first; line <= last; line++ {
-		if stamps[line] == p.epoch {
-			continue
-		}
-		stamps[line] = p.epoch
-		lo := line * perLine
-		ln := perLine
-		if lo+ln > limit {
-			ln = limit - lo
-		}
-		old := r.LoadRange(lo, ln)
-		dst := p.beginEntry(kindI64, id, lo, ln)
-		for k, v := range old {
-			dst[k] = math.Float64frombits(uint64(v))
-		}
-		p.finishEntry(ln)
-	}
+// MarkWritten registers a range modified outside the Tx API (e.g. by an
+// instrumented kernel) so Commit flushes it. The caller must have
+// snapshotted the range beforehand for rollback to be correct.
+func (tx *Tx) MarkWritten(r mem.Region, i, n int) {
+	kind, id := tx.p.id(r)
+	tx.written = append(tx.written, writtenRange{kind, id, i, i + n})
 }
 
 // SetF64 performs a transactional store: the containing line is
 // snapshotted on first touch, then the store proceeds.
 func (tx *Tx) SetF64(r *mem.F64, i int, v float64) {
-	tx.SnapshotF64(r, i, 1)
+	tx.Snapshot(r, i, 1)
 	r.Set(i, v)
-	tx.written = append(tx.written, writtenRange{kindF64, tx.p.f64ID(r), i, i + 1})
+	tx.MarkWritten(r, i, 1)
 }
 
 // SetI64 performs a transactional store on an int64 region.
 func (tx *Tx) SetI64(r *mem.I64, i int, v int64) {
-	tx.SnapshotI64(r, i, 1)
+	tx.Snapshot(r, i, 1)
 	r.Set(i, v)
-	tx.written = append(tx.written, writtenRange{kindI64, tx.p.i64ID(r), i, i + 1})
+	tx.MarkWritten(r, i, 1)
 }
 
 // StoreRangeF64 is the bulk transactional store: snapshot + return the
 // live destination slice for the caller to fill. The range is flushed at
 // commit.
 func (tx *Tx) StoreRangeF64(r *mem.F64, i, n int) []float64 {
-	tx.SnapshotF64(r, i, n)
-	tx.written = append(tx.written, writtenRange{kindF64, tx.p.f64ID(r), i, i + n})
+	tx.Snapshot(r, i, n)
+	tx.MarkWritten(r, i, n)
 	return r.StoreRange(i, n)
-}
-
-// MarkWrittenF64 registers a range modified outside the Tx API (e.g. by
-// an instrumented kernel) so Commit flushes it. The caller must have
-// snapshotted the range beforehand for rollback to be correct.
-func (tx *Tx) MarkWrittenF64(r *mem.F64, i, n int) {
-	tx.written = append(tx.written, writtenRange{kindF64, tx.p.f64ID(r), i, i + n})
-}
-
-// MarkWrittenI64 is the int64 variant of MarkWrittenF64.
-func (tx *Tx) MarkWrittenI64(r *mem.I64, i, n int) {
-	tx.written = append(tx.written, writtenRange{kindI64, tx.p.i64ID(r), i, i + n})
 }
 
 // Commit flushes every range modified in the transaction and truncates
@@ -295,14 +246,8 @@ func (tx *Tx) MarkWrittenI64(r *mem.I64, i, n int) {
 func (tx *Tx) Commit() {
 	p := tx.p
 	for _, w := range tx.written {
-		switch w.kind {
-		case kindF64:
-			r := p.f64s[w.id]
-			p.m.LLC.Flush(r.Addr(w.lo), 8*(w.hi-w.lo))
-		case kindI64:
-			r := p.i64s[w.id]
-			p.m.LLC.Flush(r.Addr(w.lo), 8*(w.hi-w.lo))
-		}
+		r := p.regions[w.kind][w.id]
+		p.m.LLC.Flush(r.Addr(w.lo), 8*(w.hi-w.lo))
 	}
 	// Truncate the log: head to zero, flushed.
 	p.entries = 0
@@ -331,7 +276,7 @@ func (p *Pool) Boundary(dst []uint64) []uint64 {
 	if !p.inTx {
 		return dst
 	}
-	for _, regions := range [][][]uint64{p.snapF64, p.snapI64} {
+	for _, regions := range p.stamps {
 		for _, stamps := range regions {
 			for line, st := range stamps {
 				if st == p.epoch {
@@ -366,8 +311,7 @@ func (p *Pool) Recover() (rolledBack bool, applied int) {
 	}
 	// Walk entries forward to locate offsets, then apply in reverse.
 	type entry struct {
-		kind           regionKind
-		id             int64
+		kind, id       int64
 		start, n, vOff int
 	}
 	// n comes from an image a fault model may have corrupted: it must not
@@ -381,7 +325,7 @@ func (p *Pool) Recover() (rolledBack bool, applied int) {
 	for k := 0; k < n; k++ {
 		hdr := p.meta.LoadRange(mOff, metaSlots)
 		e := entry{
-			kind:  regionKind(hdr[0]),
+			kind:  hdr[0],
 			id:    hdr[1],
 			start: int(hdr[2]),
 			n:     int(hdr[3]),
@@ -393,23 +337,13 @@ func (p *Pool) Recover() (rolledBack bool, applied int) {
 	}
 	for k := n - 1; k >= 0; k-- {
 		e := entries[k]
-		old := p.vals.LoadRange(e.vOff, e.n)
-		switch e.kind {
-		case kindF64:
-			r := p.f64s[e.id]
-			dst := r.StoreRange(e.start, e.n)
-			copy(dst, old)
-			p.m.LLC.Flush(r.Addr(e.start), 8*e.n)
-		case kindI64:
-			r := p.i64s[e.id]
-			dst := r.StoreRange(e.start, e.n)
-			for j, v := range old {
-				dst[j] = int64(math.Float64bits(v))
-			}
-			p.m.LLC.Flush(r.Addr(e.start), 8*e.n)
-		default:
+		old := p.vals.LoadWords(e.vOff, e.n)
+		if uint64(e.kind) >= uint64(len(p.regions)) {
 			panic(fmt.Sprintf("pmem: corrupt log entry kind %d", e.kind))
 		}
+		r := p.regions[e.kind][e.id]
+		copy(r.StoreWords(e.start, e.n), old)
+		p.m.LLC.Flush(r.Addr(e.start), 8*e.n)
 	}
 	// Truncate.
 	p.entries = 0

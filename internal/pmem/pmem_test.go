@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"math"
 	"testing"
 
 	"adcc/internal/cache"
@@ -137,14 +138,18 @@ func TestTornTransactionSequence(t *testing.T) {
 	}
 }
 
+// TestI64Transactions: rollback returns int64 words bit for bit,
+// including ones that read as NaN or -0 when taken for float64 — the
+// undo log holds every region's old values as raw words.
 func TestI64Transactions(t *testing.T) {
 	m := newTestMachine()
 	e := crash.NewEmulator(m)
 	p := NewPool(m, 1024)
 	r := m.Heap.AllocI64("counters", 8)
-	p.RegisterI64(r)
-	for i := 0; i < 8; i++ {
-		r.Set(i, int64(-10*i))
+	p.Register(r)
+	want := []int64{0, -10, -1, math.MinInt64, 0x7ff0000000000001, -40, -50, -60}
+	for i, w := range want {
+		r.Set(i, w)
 	}
 	m.LLC.WritebackAll()
 
@@ -156,9 +161,9 @@ func TestI64Transactions(t *testing.T) {
 		crash.InjectCrashNow()
 	})
 	p.Recover()
-	for i := 0; i < 8; i++ {
-		if got := r.Live()[i]; got != int64(-10*i) {
-			t.Fatalf("counter %d = %d after rollback, want %d", i, got, -10*i)
+	for i, w := range want {
+		if got := r.Live()[i]; got != w {
+			t.Fatalf("counter %d = %#x after rollback, want %#x", i, got, w)
 		}
 	}
 }

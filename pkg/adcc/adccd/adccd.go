@@ -25,6 +25,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -201,7 +202,7 @@ func (s *Server) Submit(spec adcc.CampaignSpec) (adcc.JobInfo, error) {
 		// Content-addressed hit: the result of this exact spec+seed is
 		// already on disk; serve it without any engine work.
 		j.info.Cached = true
-		j.completeLocked(b, 0)
+		j.completeLocked(b, cachedInjections(b))
 		s.mu.Unlock()
 		s.stats.cacheHits.Add(1)
 		s.store.putJob(j.snapshot())
@@ -340,7 +341,7 @@ func (s *Server) loadState() error {
 		// same result, adopt it; otherwise resume from the shards.
 		if b, ok := s.store.cacheGet(j.info.CacheKey); ok {
 			j.info.Cached = true
-			j.completeLocked(b, 0)
+			j.completeLocked(b, cachedInjections(b))
 			s.mu.Lock()
 			s.registerLoadedLocked(j)
 			s.mu.Unlock()
@@ -448,6 +449,21 @@ func (s *Server) runJob(j *job, completed map[string]adcc.CampaignCell) {
 	s.store.putJob(j.snapshot())
 	s.store.dropShards(j.info.ID)
 	s.logf("job %s: done (%d injections)", j.info.ID, rep.Injections)
+}
+
+// cachedInjections reads the total injection count out of a cached
+// envelope, for a job answered from the cache. Only that one field is
+// decoded. The decode error is dropped because the job serves the
+// cached bytes as they are either way; an envelope that does not parse
+// only reports 0.
+func cachedInjections(b []byte) int {
+	var env struct {
+		Campaign struct {
+			Injections int `json:"injections"`
+		} `json:"campaign"`
+	}
+	_ = json.Unmarshal(b, &env)
+	return env.Campaign.Injections
 }
 
 // newJobID returns a fresh random job identifier.

@@ -237,7 +237,7 @@ func TestCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDone(t, srv, info.ID)
+	info = waitDone(t, srv, info.ID)
 	want, err := srv.Report(info.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -295,6 +295,9 @@ func TestCacheHit(t *testing.T) {
 	}
 	if cached.Status != adcc.JobDone || !cached.Cached {
 		t.Errorf("cache submit: status %s cached %v, want done from cache", cached.Status, cached.Cached)
+	}
+	if cached.Injections != info.Injections || info.Injections == 0 {
+		t.Errorf("cache hit reports %d injections, the computed job %d", cached.Injections, info.Injections)
 	}
 	got, err := srv3.Report(cached.ID)
 	if err != nil {
