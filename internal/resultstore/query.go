@@ -2,7 +2,7 @@ package resultstore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"adcc/internal/campaign"
@@ -206,7 +206,7 @@ func percentile(sorted []int64, p float64) int64 {
 	return sorted[rank]
 }
 
-// distOf summarizes one value set.
+// distOf summarizes one value set, sorting vals in place.
 func distOf(vals []int64) Dist {
 	var d Dist
 	d.Count = int64(len(vals))
@@ -216,11 +216,10 @@ func distOf(vals []int64) Dist {
 			d.Max = v
 		}
 	}
-	sorted := append([]int64(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	d.P50 = percentile(sorted, 0.50)
-	d.P95 = percentile(sorted, 0.95)
-	d.P99 = percentile(sorted, 0.99)
+	slices.Sort(vals)
+	d.P50 = percentile(vals, 0.50)
+	d.P95 = percentile(vals, 0.95)
+	d.P99 = percentile(vals, 0.99)
 	return d
 }
 
@@ -247,13 +246,22 @@ type Aggregate struct {
 	FlushLines         Dist             `json:"flush_lines"`
 }
 
+// numOutcomes is the number of campaign.Outcome values.
+const numOutcomes = int(campaign.OutcomeNoCrash) + 1
+
 // Aggregate computes the roll-up in one pass over the filtered rows.
 func (s *Store) Aggregate(f Filter) (Aggregate, error) {
-	agg := Aggregate{Outcomes: map[string]int64{}}
-	var rework, cost, flush []int64
+	// The rows of the cells the filter admits bound the row count.
+	n := 0
+	for _, c := range s.cells {
+		if f.matchCell(s.cellInfo(c)) {
+			n += c.rowCount
+		}
+	}
+	var outcomes [numOutcomes]int64
+	rework, cost, flush := make([]int64, 0, n), make([]int64, 0, n), make([]int64, 0, n)
 	err := s.Scan(f, func(r Row) error {
-		agg.Rows++
-		agg.Outcomes[r.Outcome.String()]++
+		outcomes[r.Outcome]++
 		rework = append(rework, r.ReworkOps)
 		cost = append(cost, r.RecoverSimNS+r.ResumeSimNS)
 		flush = append(flush, r.FlushLines)
@@ -261,6 +269,12 @@ func (s *Store) Aggregate(f Filter) (Aggregate, error) {
 	})
 	if err != nil {
 		return Aggregate{}, err
+	}
+	agg := Aggregate{Rows: int64(len(rework)), Outcomes: map[string]int64{}}
+	for o, k := range outcomes {
+		if k > 0 {
+			agg.Outcomes[campaign.Outcome(o).String()] = k
+		}
 	}
 	agg.ReworkOps = distOf(rework)
 	agg.RecoverResumeSimNS = distOf(cost)

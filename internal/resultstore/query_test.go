@@ -2,8 +2,10 @@ package resultstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -150,6 +152,89 @@ func TestDistributionAndAggregate(t *testing.T) {
 	}
 	if want := distOf(rework); agg.ReworkOps != want {
 		t.Errorf("Aggregate.ReworkOps = %+v, want %+v", agg.ReworkOps, want)
+	}
+}
+
+// aggregateRef is the reference roll-up Aggregate is held to: a map
+// increment per row and a sorted copy of each value set.
+func aggregateRef(s *Store, f Filter) (Aggregate, error) {
+	agg := Aggregate{Outcomes: map[string]int64{}}
+	var rework, cost, flush []int64
+	err := s.Scan(f, func(r Row) error {
+		agg.Rows++
+		agg.Outcomes[r.Outcome.String()]++
+		rework = append(rework, r.ReworkOps)
+		cost = append(cost, r.RecoverSimNS+r.ResumeSimNS)
+		flush = append(flush, r.FlushLines)
+		return nil
+	})
+	if err != nil {
+		return Aggregate{}, err
+	}
+	dist := func(vals []int64) Dist {
+		d := Dist{Count: int64(len(vals))}
+		for _, v := range vals {
+			d.Sum += v
+			if v > d.Max {
+				d.Max = v
+			}
+		}
+		sorted := append([]int64(nil), vals...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		d.P50 = percentile(sorted, 0.50)
+		d.P95 = percentile(sorted, 0.95)
+		d.P99 = percentile(sorted, 0.99)
+		return d
+	}
+	agg.ReworkOps = dist(rework)
+	agg.RecoverResumeSimNS = dist(cost)
+	agg.FlushLines = dist(flush)
+	return agg, nil
+}
+
+// TestAggregateMatchesReference: over random stores and every filter
+// shape, Aggregate equals the reference roll-up and encodes to the
+// same JSON bytes; an unknown outcome fails both.
+func TestAggregateMatchesReference(t *testing.T) {
+	var filters []Filter
+	for _, w := range []string{"", "cg", "mm", "nope"} {
+		for _, scheme := range []string{"", "pmem"} {
+			for _, sys := range []string{"", "dram"} {
+				for _, fm := range []string{"", FailStop, "torn"} {
+					for _, o := range append([]string{"", "exploded"}, campaign.OutcomeNames()...) {
+						filters = append(filters, Filter{Workload: w, Scheme: scheme, System: sys, FaultModel: fm, Outcome: o})
+					}
+				}
+			}
+		}
+	}
+	for trial := int64(0); trial < 12; trial++ {
+		b, _, _, _ := genStore(t, 5000+trial, int(trial%9))
+		s, err := Open(bytes.NewReader(b), int64(len(b)))
+		if err != nil {
+			t.Fatalf("trial %d: Open: %v", trial, err)
+		}
+		for _, f := range filters {
+			got, err := s.Aggregate(f)
+			want, wantErr := aggregateRef(s, f)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("trial %d %+v: error %v, reference %v", trial, f, err, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d %+v:\n got %+v\nwant %+v", trial, f, got, want)
+			}
+			gj, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wj, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gj, wj) {
+				t.Fatalf("trial %d %+v: JSON\n%s\nreference\n%s", trial, f, gj, wj)
+			}
+		}
 	}
 }
 

@@ -230,8 +230,8 @@ func consumeSSE(r io.Reader, fn func(adcc.StreamEvent) error) error {
 		return nil
 	}
 	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
+		line := sc.Bytes()
+		if len(line) == 0 {
 			if err := flush(); err != nil {
 				if err == errStreamDone {
 					return nil
@@ -240,19 +240,21 @@ func consumeSSE(r io.Reader, fn func(adcc.StreamEvent) error) error {
 			}
 			continue
 		}
-		field, value, _ := strings.Cut(line, ":")
-		value = strings.TrimPrefix(value, " ")
-		switch field {
+		field, value, _ := bytes.Cut(line, []byte{':'})
+		value = bytes.TrimPrefix(value, []byte{' '})
+		switch string(field) {
 		case "id":
-			seq, err := strconv.Atoi(value)
+			seq, err := strconv.Atoi(string(value))
 			if err != nil {
 				return fmt.Errorf("adccclient: malformed SSE id %q", line)
 			}
 			ev.Seq = seq
 		case "event":
-			ev.Type = value
+			ev.Type = frameType(value)
 		case "data":
-			ev.Data = json.RawMessage(value)
+			// The scanner reuses line's bytes: the payload is the one
+			// copy a frame makes.
+			ev.Data = bytes.Clone(value)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -272,6 +274,23 @@ func consumeSSE(r io.Reader, fn func(adcc.StreamEvent) error) error {
 }
 
 var errStreamDone = errors.New("adccclient: stream done")
+
+// frameTypes are the frame types adccd sends (docs/HTTP_API.md), most
+// frequent first.
+var frameTypes = []string{
+	"injection_done", "progress", "shard_done", "case_started", "case_finished", "event", "done",
+}
+
+// frameType returns the event field value b as a string, sharing the
+// known frame types' strings instead of allocating one per frame.
+func frameType(b []byte) string {
+	for _, t := range frameTypes {
+		if string(b) == t {
+			return t
+		}
+	}
+	return string(b)
+}
 
 // Wait blocks until the job reaches a terminal state (done or failed)
 // and returns its final status document, polling the job endpoint.

@@ -392,7 +392,8 @@ func TestEventStreamMatchesDirect(t *testing.T) {
 	if _, err := runner.RunCampaign(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	wantEvents, _, _ := ref.eventsFrom(0)
+	history, _, _, _ := ref.eventsFrom(0)
+	wantEvents := decodeFrames(t, history)
 
 	srv, err := New(Config{Parallel: 2})
 	if err != nil {
@@ -442,7 +443,10 @@ func TestEventStreamMatchesDirect(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("resumed Events: %v", err)
 	}
-	if len(tail) == 0 || tail[0].Seq != mid+1 {
+	if len(tail) == 0 {
+		t.Fatalf("resume from %d streamed no frames", mid)
+	}
+	if tail[0].Seq != mid+1 {
 		t.Fatalf("resume from %d started at %d", mid, tail[0].Seq)
 	}
 }

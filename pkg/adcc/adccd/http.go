@@ -244,18 +244,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl.Flush()
 
 	for {
-		evs, wake, done := j.eventsFrom(next)
-		for _, e := range evs {
-			writeSSE(w, e.Seq, e.Type, e.Data)
-			next = e.Seq + 1
-		}
-		if len(evs) > 0 {
+		// One write per wake: every frame buffered since the last one,
+		// already encoded, and for a terminal job its done frame too.
+		frames, n, wake, done := j.eventsFrom(next)
+		next = n
+		if len(frames) > 0 {
+			_, _ = w.Write(frames)
 			fl.Flush()
 		}
 		if done {
-			final, _ := json.Marshal(j.snapshot())
-			writeSSE(w, next, "done", final)
-			fl.Flush()
 			return
 		}
 		select {
@@ -285,9 +282,4 @@ func resumeSeq(r *http.Request) (int, error) {
 		return 0, &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf("bad resume position %q", v)}
 	}
 	return n + 1, nil
-}
-
-// writeSSE emits one Server-Sent Events frame.
-func writeSSE(w http.ResponseWriter, seq int, typ string, data []byte) {
-	fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", seq, typ, data)
 }

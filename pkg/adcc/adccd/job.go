@@ -2,6 +2,7 @@ package adccd
 
 import (
 	"encoding/json"
+	"strconv"
 	"sync"
 
 	"adcc/pkg/adcc"
@@ -10,10 +11,18 @@ import (
 // job is one campaign submission: its status document, the buffered
 // event history every subscriber replays, and the finished report.
 type job struct {
-	mu     sync.Mutex
-	info   adcc.JobInfo
-	events []adcc.StreamEvent
-	// wake is closed and replaced whenever events grow or the job
+	mu   sync.Mutex
+	info adcc.JobInfo
+	// frames is the event history in SSE wire form, one
+	// "id: N\nevent: T\ndata: D\n\n" frame per event, followed by the
+	// done frame once the job is terminal; ends[i] is the offset just
+	// past history frame i. frames only grows: no byte before
+	// len(frames) is ever rewritten, so a slice of it capped at that
+	// length, taken under mu, stays safe to read after mu is released
+	// while appends carry on past its end.
+	frames []byte
+	ends   []int
+	// wake is closed and replaced whenever frames grow or the job
 	// reaches a terminal state, waking every waiting subscriber.
 	wake   chan struct{}
 	done   bool
@@ -77,16 +86,39 @@ func (j *job) fail(err error) {
 	j.finishLocked()
 }
 
+// finishLocked marks the job terminal and encodes its done frame after
+// the history. The status document does not change once the job is
+// terminal, so every subscriber gets the same done frame.
 func (j *job) finishLocked() {
 	if !j.done {
 		j.done = true
+		j.frames = appendDone(j.frames, len(j.ends), j.info)
 		close(j.wake)
 		j.wake = make(chan struct{})
 	}
 }
 
+// appendFrame appends one Server-Sent Events frame to b.
+func appendFrame(b []byte, seq int, typ string, data []byte) []byte {
+	b = append(b, "id: "...)
+	b = strconv.AppendInt(b, int64(seq), 10)
+	b = append(b, "\nevent: "...)
+	b = append(b, typ...)
+	b = append(b, "\ndata: "...)
+	b = append(b, data...)
+	return append(b, "\n\n"...)
+}
+
+// appendDone appends the synthetic terminal frame, numbered seq and
+// carrying the final status document.
+func appendDone(b []byte, seq int, info adcc.JobInfo) []byte {
+	final, _ := json.Marshal(info) // a JobInfo always encodes
+	return appendFrame(b, seq, "done", final)
+}
+
 // appendEvent adds one frame to the event history and wakes
-// subscribers.
+// subscribers. A terminal job's history is closed: its done frame has
+// been encoded after it.
 func (j *job) appendEvent(typ string, data any) {
 	b, err := json.Marshal(data)
 	if err != nil {
@@ -94,7 +126,11 @@ func (j *job) appendEvent(typ string, data any) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.events = append(j.events, adcc.StreamEvent{Seq: len(j.events), Type: typ, Data: b})
+	if j.done {
+		return
+	}
+	j.frames = appendFrame(j.frames, len(j.ends), typ, b)
+	j.ends = append(j.ends, len(j.frames))
 	close(j.wake)
 	j.wake = make(chan struct{})
 }
@@ -133,17 +169,30 @@ func (j *job) shardDone(cellKey string) {
 	j.appendEvent("shard_done", shardData{Cell: cellKey, ShardsDone: done, ShardsTotal: total})
 }
 
-// eventsFrom returns the buffered frames at and after seq, a channel
+// eventsFrom returns the encoded frames from history frame seq to the
+// end of what is buffered, the sequence number after them, a channel
 // that is closed on the next append or state change, and whether the
-// job is terminal.
-func (j *job) eventsFrom(seq int) ([]adcc.StreamEvent, <-chan struct{}, bool) {
+// job is terminal. A terminal job's frames end with its done frame,
+// numbered next. The returned slice is capped at the bytes written so
+// far (see job.frames), so it may be written out without j.mu.
+func (j *job) eventsFrom(seq int) (frames []byte, next int, wake <-chan struct{}, done bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var evs []adcc.StreamEvent
-	if seq < len(j.events) {
-		evs = j.events[seq:len(j.events):len(j.events)]
+	n := len(j.ends)
+	if seq > n {
+		// Past the history: nothing to replay, and a terminal job's done
+		// frame carries the requested position.
+		if j.done {
+			frames = appendDone(nil, seq, j.info)
+		}
+		return frames, seq, j.wake, j.done
 	}
-	return evs, j.wake, j.done
+	start := 0
+	if seq > 0 {
+		start = j.ends[seq-1]
+	}
+	end := len(j.frames)
+	return j.frames[start:end:end], n, j.wake, j.done
 }
 
 // SSE data payloads (see docs/HTTP_API.md).
