@@ -38,6 +38,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -73,8 +74,8 @@ func main() {
 		storePath = flag.String("store", "", "write the campaign experiment's raw per-injection rows to a columnar result store at this path (query with adccquery)")
 	)
 	flag.Parse()
-	if !(*scale > 0) { // NaN too
-		fmt.Fprintf(os.Stderr, "adccbench: -scale must be positive, got %g\n", *scale)
+	if !(*scale > 0) || math.IsInf(*scale, 1) { // NaN too
+		fmt.Fprintf(os.Stderr, "adccbench: -scale must be positive and finite, got %g\n", *scale)
 		os.Exit(2)
 	}
 
@@ -157,17 +158,18 @@ func main() {
 	failed := false
 	for _, name := range selected {
 		start := time.Now()
+		// A failed check returns its table with the error: print both.
 		tab, err := runner.RunExperiment(ctx, name)
+		if tab != nil && *asCSV {
+			fmt.Printf("## %s\n", name)
+			tab.FprintCSV(os.Stdout)
+		} else if tab != nil {
+			tab.Fprint(os.Stdout)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "adccbench: %s failed: %v\n", name, err)
 			failed = true
 			continue
-		}
-		if *asCSV {
-			fmt.Printf("## %s\n", name)
-			tab.FprintCSV(os.Stdout)
-		} else {
-			tab.Fprint(os.Stdout)
 		}
 		if *verbose {
 			fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", name, time.Since(start))

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -70,8 +71,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if !(*scale > 0) {
-		return usage("-scale must be positive, got %g", *scale)
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		return usage("-scale must be positive and finite, got %g", *scale)
 	}
 
 	if *campaignMode {

@@ -9,7 +9,8 @@ import (
 
 // TestBadFlagsAreUsageErrors: every out-of-range flag exits 2 with a
 // message naming it and prints nothing to stdout — in both modes for
-// -scale, where a non-positive value used to mean 1.0; against the
+// -scale, where a non-positive value used to mean 1.0 and +Inf ran the
+// single-point mode at the size floors; against the
 // profiled run (naming its firing count) for -occurrence and -crash-op;
 // and as unknown flags for the per-family size flags the workload table
 // replaced.
@@ -47,7 +48,7 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 		}
 	}
 	for _, mode := range [][]string{nil, {"-campaign"}} {
-		for _, s := range []string{"0", "-1", "NaN"} {
+		for _, s := range []string{"0", "-1", "NaN", "Inf", "-Inf"} {
 			args := append([]string{"-workload", "kvlog", "-scale", s}, mode...)
 			var stdout, stderr strings.Builder
 			if code := run(args, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), "-scale") || stdout.Len() != 0 {

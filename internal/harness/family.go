@@ -89,7 +89,7 @@ func runFamily(ctx context.Context, o Options, d runtimeTable, trigger string, o
 			d.cases = append(d.cases, sc)
 		}
 	}
-	t, err := runRuntimeTable(ctx, o, d)
+	t, _, err := runRuntimeTable(ctx, o, d)
 	if err != nil {
 		return nil, crashTest{}, err
 	}

@@ -90,9 +90,14 @@ func runtimeFlushPeriod(lookups int) int {
 	return max(lookups/50, 10)
 }
 
-// mcComparisonTable builds the Figure 10/12 style table comparing
-// no-crash and crash-and-restart counts for a flush policy.
-func mcComparisonTable(ctx context.Context, name, title string, o Options, sc engine.Scheme) (*Table, error) {
+// mcComparison is one Figure 10/12 comparison under a flush policy: the
+// per-type result percentages of a no-crash run and of a crash-and-restart
+// run on identical sampled inputs.
+type mcComparison struct{ noCrash, restart [mc.NumTypes]float64 }
+
+// compareMC runs the comparison for a scheme, as experiment name.
+func compareMC(ctx context.Context, name string, o Options, scheme string) (mcComparison, error) {
+	sc := engine.MustLookup(scheme)
 	cfg := mcConfig(o)
 	period := harnessFlushPeriod(cfg.Lookups)
 	o.logf("%s: lookups=%d grid-points=%d", name, cfg.Lookups, cfg.PointsPerNuclide*cfg.Nuclides)
@@ -107,9 +112,18 @@ func mcComparisonTable(ctx context.Context, name, title string, o Options, sc en
 		return mcPercentages(w.Metrics()), err
 	})
 	if err != nil {
+		return mcComparison{}, err
+	}
+	return mcComparison{pcts[0], pcts[1]}, nil
+}
+
+// mcComparisonTable runs the comparison for a scheme and renders it.
+func mcComparisonTable(ctx context.Context, name, title string, o Options, scheme string) (*Table, error) {
+	c, err := compareMC(ctx, name, o, scheme)
+	if err != nil {
 		return nil, err
 	}
-	bp, cp := pcts[0], pcts[1]
+	bp, cp := c.noCrash, c.restart
 	t := &Table{
 		Name:    name,
 		Title:   title,
@@ -130,7 +144,7 @@ func mcComparisonTable(ctx context.Context, name, title string, o Options, sc en
 func RunFig10(ctx context.Context, o Options) (*Table, error) {
 	return mcComparisonTable(ctx, "fig10",
 		"XSBench interaction counts: no-crash vs naive crash-restart",
-		o, engine.MustLookup(engine.SchemeAlgoNaive))
+		o, engine.SchemeAlgoNaive)
 }
 
 // RunFig12 reproduces Figure 12: with selective flushing of macro_xs,
@@ -139,15 +153,21 @@ func RunFig10(ctx context.Context, o Options) (*Table, error) {
 func RunFig12(ctx context.Context, o Options) (*Table, error) {
 	return mcComparisonTable(ctx, "fig12",
 		"XSBench interaction counts: no-crash vs selective-flush crash-restart",
-		o, engine.MustLookup(engine.SchemeAlgoNVM))
+		o, engine.SchemeAlgoNVM)
 }
 
 // RunFig13 reproduces Figure 13: runtime of the lookup loop under the
 // seven cases, with checkpoint/flush periods of 0.01% of lookups.
 func RunFig13(ctx context.Context, o Options) (*Table, error) {
+	t, _, err := runRuntimeTable(ctx, o, fig13(o))
+	return t, err
+}
+
+// fig13 describes Figure 13's runtime experiment.
+func fig13(o Options) runtimeTable {
 	cfg := mcConfig(o)
 	period := runtimeFlushPeriod(cfg.Lookups)
-	return runRuntimeTable(ctx, o, runtimeTable{
+	return runtimeTable{
 		name:    "fig13",
 		title:   "XSBench runtime, seven mechanisms (normalized to native)",
 		shape:   fmt.Sprintf("lookups=%d grid-points=%d", cfg.Lookups, cfg.PointsPerNuclide*cfg.Nuclides),
@@ -167,7 +187,7 @@ func RunFig13(ctx context.Context, o Options) (*Table, error) {
 			caseAlgoHetero: "<=1.0005",
 		}),
 		notes: []string{fmt.Sprintf("checkpoint/flush period = %d lookups (event-work-to-computation ratio of the paper's 0.01%% of 1.5e7 setup)", period)},
-	})
+	}
 }
 
 // RunMCFlushAblation sweeps the flush period, reporting runtime overhead

@@ -31,11 +31,46 @@ func cgCrashTest(m *crash.Machine, a *sparse.CSR) (ct crashTest, lost int, avg i
 	return ct, int(ct.done["iterations_lost"]), int64(ct.crashed["avg_iter_ns"]), err
 }
 
+// fig3Class is one bar of Figure 3: an input class, its scaled size, and
+// cgCrashTest's results.
+type fig3Class struct {
+	name    string
+	n, lost int
+	avgNS   int64
+	ct      crashTest
+}
+
+// fig3Classes runs Figure 3's crash test on every input class, on the
+// heterogeneous NVM/DRAM system, as in the paper.
+func fig3Classes(ctx context.Context, o Options) ([]fig3Class, error) {
+	classes := sparse.Classes()
+	label := func(i int) string { return "class-" + classes[i].Name }
+	return runCases(ctx, o, "fig3", label, len(classes), func(ci int) (fig3Class, error) {
+		cl := classes[ci]
+		n := o.scaleInt(cl.N, 200)
+		o.logf("fig3: class %s n=%d", cl.Name, n)
+		a := sparse.GenSPD(n, cl.NnzRow, 1000+int64(len(cl.Name)))
+		ct, lost, avg, err := cgCrashTest(newMachine(crash.Hetero, cgLLCBytes, 16), a)
+		if err != nil {
+			return fig3Class{}, fmt.Errorf("fig3: class %s: %w", cl.Name, err)
+		}
+		o.Collector.Record(bench.Result{
+			Name:       "fig3/class-" + cl.Name,
+			SimNS:      ct.recoverNS + ct.resumeNS,
+			RecoveryNS: ct.recoverNS,
+		})
+		return fig3Class{cl.Name, n, lost, avg, ct}, nil
+	})
+}
+
 // RunFig3 reproduces Figure 3: recomputation cost of crash-consistent CG
 // across input classes, broken into "detecting where to restart" and
-// "resuming computation", normalized by the average iteration time. The
-// crash fires on the heterogeneous NVM/DRAM system, as in the paper.
+// "resuming computation", normalized by the average iteration time.
 func RunFig3(ctx context.Context, o Options) (*Table, error) {
+	classes, err := fig3Classes(ctx, o)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Name:  "fig3",
 		Title: "CG recomputation cost (normalized to one iteration)",
@@ -43,28 +78,9 @@ func RunFig3(ctx context.Context, o Options) (*Table, error) {
 			"Class", "n", "ItersLost", "Detect/iter", "Resume/iter", "Total/iter",
 		},
 	}
-	classes := sparse.Classes()
-	label := func(i int) string { return "class-" + classes[i].Name }
-	err := runRows(ctx, o, t, label, len(classes), func(ci int) ([]any, error) {
-		cl := classes[ci]
-		n := o.scaleInt(cl.N, 200)
-		o.logf("fig3: class %s n=%d", cl.Name, n)
-		a := sparse.GenSPD(n, cl.NnzRow, 1000+int64(len(cl.Name)))
-		ct, lost, avg, err := cgCrashTest(newMachine(crash.Hetero, cgLLCBytes, 16), a)
-		if err != nil {
-			return nil, fmt.Errorf("fig3: class %s: %w", cl.Name, err)
-		}
-		o.Collector.Record(bench.Result{
-			Name:       "fig3/class-" + cl.Name,
-			SimNS:      ct.recoverNS + ct.resumeNS,
-			RecoveryNS: ct.recoverNS,
-		})
-		return []any{cl.Name, n, lost,
-			normalize(ct.recoverNS, avg), normalize(ct.resumeNS, avg),
-			normalize(ct.recoverNS+ct.resumeNS, avg)}, nil
-	})
-	if err != nil {
-		return nil, err
+	for _, c := range classes {
+		t.AddRow(c.name, c.n, c.lost, normalize(c.ct.recoverNS, c.avgNS), normalize(c.ct.resumeNS, c.avgNS),
+			normalize(c.ct.recoverNS+c.ct.resumeNS, c.avgNS))
 	}
 	t.AddNote("crash at end of iteration %d on the NVM/DRAM system (paper setup)", cgCrashIter)
 	t.AddNote("paper: classes S,W lose all 15 iterations; classes B,C lose 1")
@@ -82,10 +98,16 @@ func paperColumn(ref map[string]string) func(engine.Scheme, engine.Workload) []a
 // the input; checkpoint and PMEM act once per iteration so every
 // mechanism has the same one-iteration recomputation bound.
 func RunFig4(ctx context.Context, o Options) (*Table, error) {
+	t, _, err := runRuntimeTable(ctx, o, fig4(o))
+	return t, err
+}
+
+// fig4 describes Figure 4's runtime experiment.
+func fig4(o Options) runtimeTable {
 	cl, _ := sparse.ClassByName("C")
 	n := o.scaleInt(cl.N, 2000)
 	a := sparse.GenSPD(n, cl.NnzRow, 77)
-	return runRuntimeTable(ctx, o, runtimeTable{
+	return runtimeTable{
 		name:    "fig4",
 		title:   "CG runtime, seven mechanisms (normalized to native)",
 		shape:   fmt.Sprintf("class C n=%d", n),
@@ -105,7 +127,7 @@ func RunFig4(ctx context.Context, o Options) (*Table, error) {
 			caseAlgoHetero: "<1.03",
 		}),
 		notes: []string{"checkpoint/PMEM act once per CG iteration (same recomputation bound as algo)"},
-	})
+	}
 }
 
 // RunCGCacheAblation sweeps the LLC size for a fixed class and reports

@@ -111,6 +111,12 @@ func avgPositive(v []int64) int64 {
 // normalized to native execution on the same system. Checkpoint and
 // PMEM act once per submatrix multiplication.
 func RunFig8(ctx context.Context, o Options) (*Table, error) {
+	t, _, err := runRuntimeTable(ctx, o, fig8(o))
+	return t, err
+}
+
+// fig8 describes Figure 8's runtime experiment.
+func fig8(o Options) runtimeTable {
 	// Every rank must divide n, so n is kept a multiple of 40.
 	n := o.scaleInt(640, 160) / 40 * 40
 	// Ranks scaled from the paper's 200/400/1000 by the same factor
@@ -125,7 +131,7 @@ func RunFig8(ctx context.Context, o Options) (*Table, error) {
 			new:   func(sc engine.Scheme) engine.Workload { return core.NewMMWorkload(opts, sc, nil) },
 		}
 	}
-	return runRuntimeTable(ctx, o, runtimeTable{
+	return runtimeTable{
 		name:        "fig8",
 		title:       "ABFT-MM runtime, seven mechanisms x rank (normalized to native)",
 		shape:       fmt.Sprintf("n=%d ranks=%v", n, ranks),
@@ -137,7 +143,7 @@ func RunFig8(ctx context.Context, o Options) (*Table, error) {
 			"paper: algo <= 1.082 at rank 200, 1.013 at rank 1000; ckpt-NVM/DRAM >= 1.218 at rank 200",
 			"ranks scaled with n from the paper's 200/400/1000 at n=8000",
 		},
-	})
+	}
 }
 
 // RunMMKAblation quantifies the memory-vs-recomputation tradeoff of the

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"adcc/internal/bench"
+	"adcc/internal/engine"
 )
 
 // smallOpts runs every experiment at CI scale.
@@ -63,18 +64,16 @@ func parseCell(t *testing.T, s string) float64 {
 }
 
 func TestFig3SmallScale(t *testing.T) {
-	tab, err := RunFig3(context.Background(), smallOpts)
+	classes, err := fig3Classes(context.Background(), smallOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 5 {
-		t.Fatalf("fig3 rows = %d, want 5 classes", len(tab.Rows))
+	if len(classes) != 5 {
+		t.Fatalf("fig3 rows = %d, want 5 classes", len(classes))
 	}
 	// Losses must not increase with class size (paper's headline
 	// observation): first class >= last class.
-	first := parseCell(t, tab.Rows[0][2])
-	last := parseCell(t, tab.Rows[4][2])
-	if last > first {
+	if first, last := classes[0].lost, classes[4].lost; last > first {
 		t.Fatalf("iterations lost grew with size: %v -> %v", first, last)
 	}
 }
@@ -142,30 +141,17 @@ func TestFig8SmallScale(t *testing.T) {
 }
 
 func TestFig10And12SmallScale(t *testing.T) {
-	t10, err := RunFig10(context.Background(), smallOpts)
+	c10, err := compareMC(context.Background(), "fig10", smallOpts, engine.SchemeAlgoNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t12, err := RunFig12(context.Background(), smallOpts)
+	c12, err := compareMC(context.Background(), "fig12", smallOpts, engine.SchemeAlgoNVM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxDelta := func(tab *Table) float64 {
-		worst := 0.0
-		for _, r := range tab.Rows {
-			d := parseCell(t, r[3])
-			if d < 0 {
-				d = -d
-			}
-			if d > worst {
-				worst = d
-			}
-		}
-		return worst
-	}
-	if maxDelta(t12) > maxDelta(t10) {
-		t.Fatalf("selective flushing (%.2fpp) should beat naive (%.2fpp)",
-			maxDelta(t12), maxDelta(t10))
+	d10, d12 := maxDelta(c10.restart, c10.noCrash), maxDelta(c12.restart, c12.noCrash)
+	if d12 > d10 {
+		t.Fatalf("selective flushing (%.2fpp) should beat naive (%.2fpp)", d12, d10)
 	}
 }
 
@@ -267,15 +253,20 @@ func TestCLWBAblationSmallScale(t *testing.T) {
 }
 
 func TestSummaryRunsAtSmallScale(t *testing.T) {
-	// The claim checks only hold at paper scale; at CI scale we assert
-	// the experiment runs, produces all four claims, and carries the
-	// scale warning.
+	// Claims 1-3 are defined at paper scale only; at CI scale they SKIP,
+	// claim 4 (which holds at every scale) PASSes, and the table carries
+	// the scale warning.
 	tab, err := RunSummary(context.Background(), smallOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) != 4 {
 		t.Fatalf("summary rows = %d, want 4 claims", len(tab.Rows))
+	}
+	for i, want := range []string{"SKIP", "SKIP", "SKIP", "PASS"} {
+		if got := tab.Rows[i][2]; got != want {
+			t.Errorf("claim %d: status %s, want %s (%v)", i+1, got, want, tab.Rows[i])
+		}
 	}
 	warned := false
 	for _, n := range tab.Notes {

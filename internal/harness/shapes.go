@@ -59,19 +59,26 @@ type runtimeVariant struct {
 	new   func(sc engine.Scheme) engine.Workload
 }
 
-// runtimeRun is one crash-free run: its simulated time and tail cells.
-type runtimeRun struct {
-	ns   int64
-	tail []any
+// runtimeRow is one case of a runtime experiment: its scheme, the index
+// of its variant, its simulated time, the native time on the same memory
+// system that it normalizes to, and its tail cells.
+type runtimeRow struct {
+	scheme     engine.Scheme
+	variant    int
+	ns, baseNS int64
+	tail       []any
 }
+
+// normalized is the row's time as a multiple of native.
+func (r runtimeRow) normalized() float64 { return normalize(r.ns, r.baseNS) }
 
 // runRuntimeTable measures native execution of every variant on both
 // memory systems (the normalization denominators), then every case of
-// every variant, and renders rows
-// [lead…] Case System Time(ms) Normalized [tail…], recording one
-// bench.Result per case. The native row is answered from the NVM-only
-// base run rather than re-run.
-func runRuntimeTable(ctx context.Context, o Options, d runtimeTable) (*Table, error) {
+// every variant, recording one bench.Result per case, and returns the
+// rows beside the table rendered from them,
+// [lead…] Case System Time(ms) Normalized [tail…]. The native row is
+// answered from the NVM-only base run rather than re-run.
+func runRuntimeTable(ctx context.Context, o Options, d runtimeTable) (*Table, []runtimeRow, error) {
 	t := &Table{
 		Name:    d.name,
 		Title:   d.title,
@@ -79,13 +86,13 @@ func runRuntimeTable(ctx context.Context, o Options, d runtimeTable) (*Table, er
 		Notes:   d.notes,
 	}
 	o.logf("%s: %s", d.name, d.shape)
-	run := func(v runtimeVariant, sc engine.Scheme, kind crash.SystemKind) (runtimeRun, error) {
+	run := func(v runtimeVariant, sc engine.Scheme, kind crash.SystemKind) (runtimeRow, error) {
 		w := v.new(sc)
 		ns, err := timedRun(d.machine(kind), w)
 		if err != nil || d.tail == nil {
-			return runtimeRun{ns: ns}, err
+			return runtimeRow{ns: ns}, err
 		}
-		return runtimeRun{ns, d.tail(sc, w)}, nil
+		return runtimeRow{ns: ns, tail: d.tail(sc, w)}, nil
 	}
 	// slash joins the non-empty parts of a label.
 	slash := func(a, b string) string {
@@ -100,20 +107,20 @@ func runRuntimeTable(ctx context.Context, o Options, d runtimeTable) (*Table, er
 	baseLabel := func(i int) string {
 		return slash(caseNative, d.variants[i/len(kinds)].label) + "@" + kinds[i%len(kinds)].String()
 	}
-	base, err := runCases(ctx, o, d.name+"/base", baseLabel, len(d.variants)*len(kinds), func(i int) (runtimeRun, error) {
+	base, err := runCases(ctx, o, d.name+"/base", baseLabel, len(d.variants)*len(kinds), func(i int) (runtimeRow, error) {
 		return run(d.variants[i/len(kinds)], native, kinds[i%len(kinds)])
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	baseOf := func(vi int, kind crash.SystemKind) runtimeRun {
+	baseOf := func(vi int, kind crash.SystemKind) runtimeRow {
 		return base[vi*len(kinds)+slices.Index(kinds, kind)]
 	}
 
 	caseLabel := func(i int) string {
 		return slash(d.variants[i/len(d.cases)].label, d.cases[i%len(d.cases)].Name())
 	}
-	runs, err := runCases(ctx, o, d.name, caseLabel, len(d.variants)*len(d.cases), func(i int) (runtimeRun, error) {
+	rows, err := runCases(ctx, o, d.name, caseLabel, len(d.variants)*len(d.cases), func(i int) (runtimeRow, error) {
 		vi, sc := i/len(d.cases), d.cases[i%len(d.cases)]
 		o.logf("%s: case %s", d.name, caseLabel(i))
 		if sc == native {
@@ -122,17 +129,18 @@ func runRuntimeTable(ctx context.Context, o Options, d runtimeTable) (*Table, er
 		return run(d.variants[vi], sc, sc.System())
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	for i, r := range runs {
-		vi, sc := i/len(d.cases), d.cases[i%len(d.cases)]
+	for i := range rows {
+		r := &rows[i]
+		r.variant, r.scheme = i/len(d.cases), d.cases[i%len(d.cases)]
+		r.baseNS = baseOf(r.variant, r.scheme.System()).ns
 		o.Collector.Record(bench.Result{Name: d.name + "/" + caseLabel(i), SimNS: r.ns})
-		t.AddRow(slices.Concat(d.variants[vi].lead, []any{
-			sc.Name(), sc.System().String(), fmt.Sprintf("%.2f", float64(r.ns)/1e6),
-			normalize(r.ns, baseOf(vi, sc.System()).ns),
+		t.AddRow(slices.Concat(d.variants[r.variant].lead, []any{
+			r.scheme.Name(), r.scheme.System().String(), fmt.Sprintf("%.2f", float64(r.ns)/1e6), r.normalized(),
 		}, r.tail)...)
 	}
-	return t, nil
+	return t, rows, nil
 }
 
 // crashTest is what one trigger-crash experiment measures.

@@ -444,10 +444,11 @@ func TestRunReportCollector(t *testing.T) {
 	}
 }
 
-// TestNonFiniteScaleRejected: a NaN or infinite campaign scale must be
-// refused before anything runs — by RunCampaign and by CampaignCells —
-// with an error naming the value, not run to a report that cannot be
-// encoded.
+// TestNonFiniteScaleRejected: a NaN or infinite scale must be refused
+// before anything runs — by RunCampaign and by CampaignCells, with an
+// error naming the value, not run to a report that cannot be encoded;
+// and by RunExperiment, not run at the size floors as if it were a
+// paper-scale run.
 func TestNonFiniteScaleRejected(t *testing.T) {
 	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		want := fmt.Sprint(scale)
@@ -458,6 +459,12 @@ func TestNonFiniteScaleRejected(t *testing.T) {
 		spec := adcc.CampaignSpec{Scale: scale, Workloads: []string{adcc.WorkloadMC}}
 		if _, err := adcc.CampaignCells(nil, spec); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("CampaignCells(scale=%v) = %v; want an error naming %s", scale, err, want)
+		}
+		for _, name := range []string{"fig4", "summary"} {
+			tab, err := adcc.New(nil, adcc.WithScale(scale)).RunExperiment(context.Background(), name)
+			if tab != nil || err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("RunExperiment(%s, scale=%v) = %v, %v; want an error naming %s", name, scale, tab, err, want)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"adcc/internal/campaign"
 	"adcc/internal/crash"
@@ -324,11 +325,15 @@ func (r *Runner) Run(ctx context.Context, workload string) (*RunReport, error) {
 }
 
 // RunExperiment runs one harness experiment by name (see Experiments)
-// and returns its rendered table.
+// and returns its rendered table. A failed check (a "summary" claim)
+// returns the table with the error; a NaN or infinite scale is an error.
 func (r *Runner) RunExperiment(ctx context.Context, name string) (*Table, error) {
 	e, ok := harness.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("adcc: unknown experiment %q (see Experiments)", name)
+	}
+	if math.IsNaN(r.scale) || math.IsInf(r.scale, 0) {
+		return nil, fmt.Errorf("adcc: scale %v is not a finite number", r.scale)
 	}
 	return e.Run(ctx, harness.Options{
 		Scale:         r.scale,
