@@ -232,14 +232,45 @@ func New(cfg Config, clock *sim.Clock, memory CostModel, sink WritebackSink) *Ca
 		c.pow2Sets = true
 		c.setMask = uint64(nsets) - 1
 	}
+	c.bindMemory(memory)
+	return c
+}
+
+// bindMemory sets the memory system below the cache and precomputes its
+// line costs if they are address-independent.
+func (c *Cache) bindMemory(memory CostModel) {
+	c.mem = memory
+	c.constCost = false
+	c.lineRead, c.lineReadSeq, c.lineWrite, c.lineWriteSeq = 0, 0, 0, 0
 	if m, ok := memory.(ConstantCostModel); ok {
-		if r, rs, w, ws, fixed := m.ConstantLineCosts(cfg.LineBytes); fixed {
+		if r, rs, w, ws, fixed := m.ConstantLineCosts(c.cfg.LineBytes); fixed {
 			c.constCost = true
 			c.lineRead, c.lineReadSeq = r, rs
 			c.lineWrite, c.lineWriteSeq = w, ws
 		}
 	}
-	return c
+}
+
+// Reset returns the cache to the state New(cfg, clock, memory, sink)
+// would build with its own clock and sink, on its own storage: every
+// line is discarded as DiscardAll does, the microarchitectural state and
+// the event counters are cleared, and the rest of cfg, FlushFree
+// included, takes effect. cfg must keep the cache's geometry (size, line
+// size, associativity, prefetch streams); Reset panics if it does not.
+func (c *Cache) Reset(cfg Config, memory CostModel) {
+	old := c.cfg
+	if cfg.SizeBytes != old.SizeBytes || cfg.LineBytes != old.LineBytes ||
+		cfg.Assoc != old.Assoc || cfg.PrefetchStreams != old.PrefetchStreams {
+		panic(fmt.Sprintf("cache: Reset from geometry %d/%d/%d/%d to %d/%d/%d/%d",
+			old.SizeBytes, old.LineBytes, old.Assoc, old.PrefetchStreams,
+			cfg.SizeBytes, cfg.LineBytes, cfg.Assoc, cfg.PrefetchStreams))
+	}
+	c.DiscardAll()
+	c.ResetVolatile()
+	c.cfg = cfg
+	c.bindMemory(memory)
+	c.stats = Stats{}
+	c.streamTies, c.countTies = 0, false
 }
 
 // readCost prices a line fill at a (non-sequential).

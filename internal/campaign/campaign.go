@@ -309,14 +309,14 @@ func (c Config) cells() ([]cell, error) {
 	return out, nil
 }
 
-// newMachine builds one injection platform: per-cell system kind, the
-// campaign LLC, defaults elsewhere. eADR cells run with flush-free
+// machineConfig describes one injection platform: per-cell system kind,
+// the campaign LLC, defaults elsewhere. eADR cells run with flush-free
 // pricing — the cost half of the platform; the crash-time drain is the
 // fault model's overlay. FlushFree changes only the simulated clock,
 // never the access stream, so crash-point spaces stay comparable
 // across fault models.
-func (c cell) newMachine() *crash.Machine {
-	return crash.NewMachine(crash.MachineConfig{
+func (c cell) machineConfig() crash.MachineConfig {
+	return crash.MachineConfig{
 		System: c.System,
 		Cache: cache.Config{
 			SizeBytes:         campaignLLCBytes,
@@ -327,7 +327,7 @@ func (c cell) newMachine() *crash.Machine {
 			PrefetchStreams:   16,
 			FlushFree:         c.Fault.Kind == crash.EADR,
 		},
-	})
+	}
 }
 
 // InjectionRow is the outcome of one crash point — the unit record the
@@ -477,7 +477,9 @@ func run(ctx context.Context, cfg Config, execute stage2) (*Report, error) {
 	plans, err := engine.RunCasesObserved(ctx, cfg.Parallel, len(cells), func(i int) (plan, error) {
 		cl := cells[i]
 		p := plan{Cell: cl, Shared: shared[cl.Family.Name]}
-		m := cl.newMachine()
+		mc := cl.machineConfig()
+		m := takeMachine(mc)
+		defer releaseMachine(m, mc)
 		em := crash.NewEmulator(m)
 		w, err := p.prepared(cfg, m, em)
 		if err != nil {
@@ -631,10 +633,13 @@ type classResult struct {
 
 // runCell records one cell, forks recovery once per equivalence
 // class, and returns the cell's injections in point order. A cancelled
-// ctx is noticed between forks and returned as the error.
+// ctx is noticed between forks and returned as the error. The cell runs
+// on one pooled machine: the recording, then, Reset, the forks.
 func runCell(ctx context.Context, cfg Config, p plan, k forkKnobs) ([]InjectionRow, error) {
 	injections := make([]InjectionRow, len(p.Points))
-	m := p.Cell.newMachine()
+	mc := p.Cell.machineConfig()
+	m := takeMachine(mc)
+	defer releaseMachine(m, mc)
 	em := crash.NewEmulator(m)
 	w, err := p.prepared(cfg, m, em)
 	if err != nil {
@@ -711,9 +716,11 @@ func runCell(ctx context.Context, cfg Config, p plan, k forkKnobs) ([]InjectionR
 		rec.finish()
 	}
 
-	// One fork per class on a single reused fork machine; expand each
-	// result to every member point.
-	f := newForker(cfg, p)
+	// One fork per class on the recording's machine, Reset; expand each
+	// result to every member point. The captures are copies, so they
+	// outlive the recording's regions.
+	m.Reset(mc)
+	f := newForker(cfg, p, m)
 	if fb, ok := f.w.(engine.Boundary); ok && rec != nil && len(a.bounds) > 0 {
 		f.check = &checker{a: a, m: f.m, em: f.em, w: fb, opsPerKWord: k.opsPerKWord, anyInterval: k.anyInterval, name: main}
 	}
@@ -740,11 +747,11 @@ func runCell(ctx context.Context, cfg Config, p plan, k forkKnobs) ([]InjectionR
 }
 
 // forker replays all of one cell's crash classes on a single reused
-// machine. The cell's machine, emulator, and workload are constructed
-// once — Prepare runs under a null accessor, since every fork's restore
-// overwrites everything Prepare computes — and each class run then
-// costs only a (memoized, copy-on-write) post-crash restore plus the
-// recovery/resume/verify itself.
+// machine. The cell's emulator and workload are constructed once on a
+// fresh or Reset machine — Prepare runs under a null accessor, since
+// every fork's restore overwrites everything Prepare computes — and each
+// class run then costs only a (memoized, copy-on-write) post-crash
+// restore plus the recovery/resume/verify itself.
 type forker struct {
 	p       plan
 	m       *crash.Machine
@@ -755,9 +762,8 @@ type forker struct {
 	check *checker
 }
 
-func newForker(cfg Config, p plan) *forker {
-	f := &forker{p: p}
-	f.m = p.Cell.newMachine()
+func newForker(cfg Config, p plan, m *crash.Machine) *forker {
+	f := &forker{p: p, m: m}
 	f.em = crash.NewEmulator(f.m)
 	acc := f.m.Heap.Accessor()
 	f.m.Heap.SetAccessor(mem.NullAccessor{})

@@ -2,9 +2,7 @@ package campaign
 
 import (
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 
 	"adcc/internal/cache"
 	"adcc/internal/crash"
@@ -61,8 +59,9 @@ import (
 // checks that fail to about a tenth of the simulation they ride on.
 const checkOpsPerKWord = 256
 
-// chunkWords is the copy-on-write granularity of kept golden state.
-const chunkWords = 512
+// chunkWords is the copy-on-write granularity of kept golden state, the
+// same as the image captures'.
+const chunkWords = mem.ChunkWords
 
 // The arena's memory budget: fixed-size blocks, allocated on first use
 // and kept for the next cell.
@@ -186,18 +185,11 @@ type arena struct {
 	memo                     []regionMemo
 }
 
-var arenaPool struct {
-	sync.Mutex
-	free []*arena
-}
+var arenas freeList[*arena]
 
 // takeArena returns an arena for one cell.
 func takeArena() *arena {
-	arenaPool.Lock()
-	defer arenaPool.Unlock()
-	if n := len(arenaPool.free); n > 0 {
-		a := arenaPool.free[n-1]
-		arenaPool.free = arenaPool.free[:n-1]
+	if a, ok := arenas.take(); ok {
 		return a
 	}
 	return &arena{block: -1, byInterval: map[counters]int{}, buf: make([]uint64, chunkWords)}
@@ -219,11 +211,7 @@ func (a *arena) release() {
 	a.auxSnaps = a.auxSnaps[:0]
 	// The memo describes one fork machine; the next cell has another.
 	clear(a.memo)
-	arenaPool.Lock()
-	defer arenaPool.Unlock()
-	if len(arenaPool.free) < runtime.GOMAXPROCS(0) {
-		arenaPool.free = append(arenaPool.free, a)
-	}
+	arenas.put(a)
 }
 
 // alloc returns n words of arena memory, or nil past the budget.

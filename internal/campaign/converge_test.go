@@ -121,7 +121,7 @@ func TestBitflipForksThatNeverRejoinDoNotStop(t *testing.T) {
 	observe := func(p plan, st *crash.CrashState, res classResult) {
 		key := p.Cell.String()
 		if _, ok := final[key]; !ok {
-			m := p.Cell.newMachine()
+			m := crash.NewMachine(p.Cell.machineConfig())
 			w, err := p.prepared(cfg, m, crash.NewEmulator(m))
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
@@ -132,7 +132,7 @@ func TestBitflipForksThatNeverRejoinDoNotStop(t *testing.T) {
 		if res.recoverErr || res.resumeErr {
 			return
 		}
-		f := newForker(cfg, p)
+		f := newForker(cfg, p, crash.NewMachine(p.Cell.machineConfig()))
 		f.run(st)
 		if liveDigest(f.m.Heap) == final[key] {
 			rejoined++

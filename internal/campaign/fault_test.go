@@ -174,7 +174,7 @@ func TestCorruptLogHeadClassifiesUnrecoverable(t *testing.T) {
 	}
 	cl := cells[0]
 	p := plan{Cell: cl, Shared: cl.Family.SharedAt(cfg.scale())}
-	m := cl.newMachine()
+	m := crash.NewMachine(cl.machineConfig())
 	em := crash.NewEmulator(m)
 	w, err := p.prepared(cfg, m, em)
 	if err != nil {
@@ -192,7 +192,7 @@ func TestCorruptLogHeadClassifiesUnrecoverable(t *testing.T) {
 		t.Fatal("the pmem cell has no undo-log head region")
 	}
 	st := m.CrashSnapshot(nil)
-	f := newForker(cfg, p)
+	f := newForker(cfg, p, crash.NewMachine(p.Cell.machineConfig()))
 	for _, n := range []uint64{1 << 40, 1 << 63} {
 		st.Overlay = []crash.FaultWrite{{Addr: head.Base(), Word: n}}
 		var before, after runtime.MemStats

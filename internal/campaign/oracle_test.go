@@ -76,7 +76,7 @@ func runLegacy(ctx context.Context, cfg Config, plans []plan) ([]InjectionRow, e
 // runInjection executes one crash point on a fresh machine: run to the
 // armed crash, then recover, resume, and verify where it fell.
 func runInjection(cfg Config, p plan, pt crash.CrashPoint) InjectionRow {
-	m := p.Cell.newMachine()
+	m := crash.NewMachine(p.Cell.machineConfig())
 	em := crash.NewEmulator(m)
 	w, err := p.prepared(cfg, m, em)
 	if err != nil {

@@ -40,7 +40,7 @@ func BenchmarkSnapshotFork(b *testing.B) {
 	cl := cells[0]
 	benchPlan = plan{Cell: cl, Shared: cl.Family.SharedAt(cfg.scale())}
 	prepared := func() (*crash.Machine, *crash.Emulator, engine.Workload) {
-		m := cl.newMachine()
+		m := crash.NewMachine(cl.machineConfig())
 		em := crash.NewEmulator(m)
 		w, err := benchPlan.prepared(cfg, m, em)
 		if err != nil {
@@ -62,7 +62,7 @@ func BenchmarkSnapshotFork(b *testing.B) {
 		b.Fatal("recording run captured no snapshot")
 	}
 
-	f := newForker(cfg, benchPlan)
+	f := newForker(cfg, benchPlan, crash.NewMachine(cl.machineConfig()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

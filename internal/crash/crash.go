@@ -103,7 +103,14 @@ type Machine struct {
 	Mem   nvm.System
 
 	kind MachineConfig
-	aux  []AuxState
+	// uniform and hetero are the memory systems the machine has built so
+	// far, kept for a Reset to the same system kind; Mem is one of them.
+	uniform *nvm.Uniform
+	hetero  *nvm.Hetero
+	// gen counts Resets: a CrashState shares aux snapshots only with a
+	// capture of the same machine generation.
+	gen uint64
+	aux []AuxState
 	// auxMarks memoizes the last RestoreCrash per aux component so
 	// repeated restores of one snapshot skip untouched components.
 	auxMarks []auxMark
@@ -111,35 +118,76 @@ type Machine struct {
 	fault faultScratch
 }
 
-// NewMachine builds a platform. The heap's accessor is the LLC, so every
-// region access is cache-simulated from the start.
-func NewMachine(cfg MachineConfig) *Machine {
+// withDefaults fills in the zero fields NewMachine documents.
+func (cfg MachineConfig) withDefaults() MachineConfig {
 	if cfg.Cache.SizeBytes == 0 {
 		cfg.Cache = cache.DefaultConfig()
 	}
 	if cfg.DRAMCacheBytes == 0 {
 		cfg.DRAMCacheBytes = nvm.DefaultDRAMCacheBytes
 	}
-	clock := &sim.Clock{}
-	cpu := sim.DefaultCPU(clock)
+	return cfg
+}
+
+// NewMachine builds a platform. The heap's accessor is the LLC, so every
+// region access is cache-simulated from the start.
+func NewMachine(cfg MachineConfig) *Machine {
+	cfg = cfg.withDefaults()
+	m := &Machine{Clock: &sim.Clock{}, CPU: &sim.CPU{}}
+	m.setup(cfg)
+	m.Heap = mem.NewHeapWith(func(h *mem.Heap) mem.Accessor {
+		m.LLC = cache.New(cfg.Cache, m.Clock, m.Mem, h)
+		return m.LLC
+	})
+	return m
+}
+
+// Reset returns a used machine to the state NewMachine(cfg) builds,
+// reusing its storage: the clock, the CPU, the memory system (its page
+// tier emptied and tiered ranges dropped), the LLC (every line, the
+// prefetcher, the counters) and the heap (see mem.Heap.Reset: versions
+// never rewind, old region handles are poisoned) all start over, and
+// the aux carriers are dropped. The heap stays bound to the same LLC.
+// cfg may change the system kind, the LLC's pricing and FlushFree, the
+// flush instruction and the CPU, but not the LLC geometry or the DRAM
+// cache size of a Hetero system already built: Reset panics on those.
+func (m *Machine) Reset(cfg MachineConfig) {
+	cfg = cfg.withDefaults()
+	m.Clock.Reset()
+	m.setup(cfg)
+	m.LLC.Reset(cfg.Cache, m.Mem)
+	m.Heap.Reset()
+	clear(m.aux)
+	m.aux = m.aux[:0]
+	clear(m.auxMarks)
+	m.auxMarks = m.auxMarks[:0]
+	m.gen++
+}
+
+// setup configures the CPU and selects the memory system for cfg, which
+// has its defaults filled in.
+func (m *Machine) setup(cfg MachineConfig) {
+	*m.CPU = *sim.DefaultCPU(m.Clock)
 	if cfg.OpNS > 0 {
-		cpu.OpNS = cfg.OpNS
+		m.CPU.OpNS = cfg.OpNS
 	}
-	var system nvm.System
 	switch cfg.System {
 	case NVMOnly:
-		system = nvm.NewUniform(nvm.DRAMLikeNVM())
+		if m.uniform == nil {
+			m.uniform = nvm.NewUniform(nvm.DRAMLikeNVM())
+		}
+		m.Mem = m.uniform
 	case Hetero:
-		system = nvm.NewHetero(cfg.DRAMCacheBytes)
+		if m.hetero == nil {
+			m.hetero = nvm.NewHetero(cfg.DRAMCacheBytes)
+		} else {
+			m.hetero.Renew(cfg.DRAMCacheBytes)
+		}
+		m.Mem = m.hetero
 	default:
 		panic(fmt.Sprintf("crash: unknown system kind %d", cfg.System))
 	}
-	var llc *cache.Cache
-	heap := mem.NewHeapWith(func(h *mem.Heap) mem.Accessor {
-		llc = cache.New(cfg.Cache, clock, system, h)
-		return llc
-	})
-	return &Machine{Clock: clock, CPU: cpu, Heap: heap, LLC: llc, Mem: system, kind: cfg}
+	m.kind = cfg
 }
 
 // System returns the machine's memory-system kind.
@@ -266,8 +314,11 @@ type CrashState struct {
 	Overlay []FaultWrite
 
 	// auxVers are the components' AuxVersion values at capture time,
-	// used to share unchanged aux snapshots across captures.
+	// used to share unchanged aux snapshots across captures of the same
+	// machine generation (src, gen).
 	auxVers []uint64
+	src     *Machine
+	gen     uint64
 	hash    uint64
 }
 
@@ -279,6 +330,8 @@ func (m *Machine) CrashSnapshot(prev *CrashState) *CrashState {
 	st := &CrashState{
 		Aux:     make([]AuxSnapshot, len(m.aux)),
 		auxVers: make([]uint64, len(m.aux)),
+		src:     m,
+		gen:     m.gen,
 	}
 	var prevImg *mem.ImageState
 	if prev != nil {
@@ -286,9 +339,10 @@ func (m *Machine) CrashSnapshot(prev *CrashState) *CrashState {
 	}
 	st.Img = m.Heap.SnapshotImages(prevImg)
 	st.hash = st.Img.Hash()
+	sameGen := prev != nil && prev.src == m && prev.gen == m.gen
 	for i, a := range m.aux {
 		v := a.AuxVersion()
-		if prev != nil && i < len(prev.Aux) && prev.auxVers[i] == v {
+		if sameGen && i < len(prev.Aux) && prev.auxVers[i] == v {
 			st.Aux[i] = prev.Aux[i]
 		} else {
 			// Shared snapshots are immutable; never donate one as a

@@ -22,13 +22,26 @@ type snapMachine struct {
 
 // buildSnapMachine constructs a machine deterministically from the
 // seed; calling it twice with the same seed yields two structurally
-// identical machines, which is the contract Restore requires.
-func buildSnapMachine(kind crash.SystemKind, seed int64) *snapMachine {
+// identical machines, which is the contract Restore requires. big
+// regions span several image chunks, and on Hetero the first one is
+// DRAM-tiered.
+func buildSnapMachine(kind crash.SystemKind, seed int64, big bool) *snapMachine {
+	return buildSnapOn(crash.NewMachine(crash.MachineConfig{System: kind}), seed, big)
+}
+
+// buildSnapOn is buildSnapMachine on a new or Reset machine m.
+func buildSnapOn(m *crash.Machine, seed int64, big bool) *snapMachine {
 	rng := rand.New(rand.NewSource(seed))
-	m := crash.NewMachine(crash.MachineConfig{System: kind})
 	s := &snapMachine{m: m}
+	lo, spread := 16, 900
+	if big {
+		lo, spread = 600, 2500
+	}
 	for r := 0; r < 2+rng.Intn(3); r++ {
-		s.f = append(s.f, m.Heap.AllocF64(fmt.Sprintf("f%d", r), 16+rng.Intn(900)))
+		s.f = append(s.f, m.Heap.AllocF64(fmt.Sprintf("f%d", r), lo+rng.Intn(spread)))
+	}
+	if big {
+		m.TierRegion(s.f[0])
 	}
 	for r := 0; r < 1+rng.Intn(2); r++ {
 		s.i = append(s.i, m.Heap.AllocI64(fmt.Sprintf("i%d", r), 8+rng.Intn(200)))
@@ -115,45 +128,62 @@ func (a endState) equal(b endState) bool {
 // captured along one run; restoring any of them onto a structural twin
 // and running a script suffix must end exactly where a machine that
 // really crashed at that instant ends — in any restore order, and when
-// the same snapshot is restored twice in a row (the memoized path).
+// the same snapshot is restored twice in a row (the memoized path). With
+// big regions the captures share some image chunks of a region and copy
+// others, and the snapshots are also restored onto the recording
+// machine itself after a Reset, as a campaign cell forks.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	cuts := []int{120, 121, 300, 450} // 120 -> 121 shares almost every region
 	for _, kind := range []crash.SystemKind{crash.NVMOnly, crash.Hetero} {
-		for seed := int64(0); seed < 8; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", kind, seed), func(t *testing.T) {
-				// Reference: one from-scratch machine per cut, really crashed.
-				want := make([]endState, len(cuts))
-				for ci, n := range cuts {
-					ref := buildSnapMachine(kind, seed)
-					ref.run(seed+1000, n)
-					ref.m.Crash()
-					want[ci] = ref.finish(seed + 2000)
+		for _, big := range []bool{false, true} {
+			for seed := int64(0); seed < 8; seed++ {
+				name := fmt.Sprintf("%s/seed%d", kind, seed)
+				if big {
+					name = fmt.Sprintf("%s/chunked/seed%d", kind, seed)
 				}
+				t.Run(name, func(t *testing.T) {
+					roundTrip(t, kind, big, seed, cuts)
+				})
+			}
+		}
+	}
+}
 
-				// Recording run: one machine, snapshots chained through prev.
-				a := buildSnapMachine(kind, seed)
-				rng := rand.New(rand.NewSource(seed + 1000))
-				states := make([]*crash.CrashState, len(cuts))
-				var prev *crash.CrashState
-				done := 0
-				for ci, n := range cuts {
-					for ; done < n; done++ {
-						a.step(rng)
-					}
-					prev = a.m.CrashSnapshot(prev)
-					states[ci] = prev
-				}
+func roundTrip(t *testing.T, kind crash.SystemKind, big bool, seed int64, cuts []int) {
+	// Reference: one from-scratch machine per cut, really crashed.
+	want := make([]endState, len(cuts))
+	for ci, n := range cuts {
+		ref := buildSnapMachine(kind, seed, big)
+		ref.run(seed+1000, n)
+		ref.m.Crash()
+		want[ci] = ref.finish(seed + 2000)
+	}
 
-				// Forks: one reused twin, out of capture order, with a repeat.
-				b := buildSnapMachine(kind, seed)
-				for _, ci := range []int{3, 0, 0, 2, 1, 3} {
-					b.m.RestoreCrash(states[ci])
-					if got := b.finish(seed + 2000); !got.equal(want[ci]) {
-						t.Errorf("fork from the snapshot at step %d diverged from a real crash there (ns %d vs %d)",
-							cuts[ci], got.ns, want[ci].ns)
-					}
-				}
-			})
+	// Recording run: one machine, snapshots chained through prev.
+	a := buildSnapMachine(kind, seed, big)
+	rng := rand.New(rand.NewSource(seed + 1000))
+	states := make([]*crash.CrashState, len(cuts))
+	var prev *crash.CrashState
+	done := 0
+	for ci, n := range cuts {
+		for ; done < n; done++ {
+			a.step(rng)
+		}
+		prev = a.m.CrashSnapshot(prev)
+		states[ci] = prev
+	}
+
+	// Forks: one reused twin, then the recording machine Reset
+	// and rebuilt, each out of capture order, with a repeat.
+	b := buildSnapMachine(kind, seed, big)
+	a.m.Reset(crash.MachineConfig{System: kind})
+	for _, fork := range []*snapMachine{b, buildSnapOn(a.m, seed, big)} {
+		for _, ci := range []int{3, 0, 0, 2, 1, 3} {
+			fork.m.RestoreCrash(states[ci])
+			if got := fork.finish(seed + 2000); !got.equal(want[ci]) {
+				t.Errorf("fork from the snapshot at step %d diverged from a real crash there (ns %d vs %d)",
+					cuts[ci], got.ns, want[ci].ns)
+			}
 		}
 	}
 }

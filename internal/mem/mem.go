@@ -146,6 +146,13 @@ type Heap struct {
 	// imgMarks memoizes, per region, the last RestoreImages source entry
 	// so repeated restores of the same snapshot skip untouched regions.
 	imgMarks []imgMark
+	// verBase is where the version counters of a new region start: 0 on
+	// a new heap, past every counter the previous generation reached
+	// after a Reset, so no counter ever repeats a value it had before.
+	verBase uint64
+	// spare is the previous generation's region storage, handed to
+	// same-length allocations of this one (see Reset).
+	spare []storage
 	// ops counts simulated memory operations: one per region accessor
 	// call (a range counts once, a gather once per index). When ops
 	// reaches stopAt, onStop runs before that operation reaches acc —
@@ -394,6 +401,7 @@ func (h *Heap) StorePersistWord(a Addr, w uint64) bool {
 	s.live[i], s.image[i] = w, w
 	s.liveVer++
 	s.imageVer++
+	s.stamps[i/ChunkWords] = s.imageVer
 	h.imageVer++
 	return true
 }
@@ -408,7 +416,25 @@ type span struct {
 	base        Addr
 	kind        Kind
 	live, image []uint64 // word views of the typed slices (wordsOf)
+	// stamps[c] is imageVer as of the last mutation of image chunk c
+	// (words [c*ChunkWords, (c+1)*ChunkWords)) alone, allStamp as of the
+	// last mutation of every chunk at once; a chunk's stamp is the later
+	// of the two (stamp). A chunk whose stamp is not newer than a
+	// capture's version is unchanged since that capture.
+	stamps   []uint64
+	allStamp uint64
 }
+
+// stamp returns chunk c's stamp.
+func (s *span) stamp(c int) uint64 { return max(s.stamps[c], s.allStamp) }
+
+// ChunkWords is the copy-on-write granularity of image captures: a
+// capture copies the 512-word chunks of a region that changed and shares
+// the rest with the previous capture.
+const ChunkWords = 512
+
+// chunks returns the number of image chunks of an n-word region.
+func chunks(n int) int { return (n + ChunkWords - 1) / ChunkWords }
 
 // word is the element types a region may hold. Each is 8 bytes with
 // uint64's alignment, which is what lets wordsOf view them as words.
@@ -418,6 +444,11 @@ type word interface{ float64 | int64 }
 // through either is seen through the other.
 func wordsOf[T word](s []T) []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
+}
+
+// typedOf is wordsOf's inverse: it views raw words as elements of T.
+func typedOf[T word](w []uint64) []T {
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(w))), len(w))
 }
 
 // Words is a region of 8-byte elements of type T. Its typed accessors
@@ -444,11 +475,88 @@ func (h *Heap) AllocI64(name string, n int) *I64 { return alloc[int64](h, name, 
 
 func alloc[T word](h *Heap, name string, n int, kind Kind) *Words[T] {
 	base := h.reserve(8 * n)
-	r := &Words[T]{live: make([]T, n), image: make([]T, n)}
-	r.span = span{h: h, name: name, base: base, kind: kind, live: wordsOf(r.live), image: wordsOf(r.image)}
+	st := h.take(n)
+	r := &Words[T]{live: typedOf[T](st.live), image: typedOf[T](st.image)}
+	r.span = span{
+		vers: vers{liveVer: h.verBase, imageVer: h.verBase},
+		h:    h, name: name, base: base, kind: kind,
+		live: st.live, image: st.image, stamps: st.stamps, allStamp: h.verBase,
+	}
 	h.regions = append(h.regions, r)
 	h.spans = append(h.spans, &r.span)
 	return r
+}
+
+// storage is one region's backing memory: live and image words and the
+// image chunk stamps.
+type storage struct {
+	live, image, stamps []uint64
+}
+
+// take returns zeroed storage for an n-word region, reusing the previous
+// generation's storage of a region of the same length when there is one.
+// Reused stamps are left as they are: each is at most a counter of the
+// old generation, below the new region's allStamp.
+func (h *Heap) take(n int) storage {
+	for i, st := range h.spare {
+		if st.live != nil && len(st.live) == n {
+			h.spare[i] = storage{}
+			clear(st.live)
+			clear(st.image)
+			return st
+		}
+	}
+	return storage{live: make([]uint64, n), image: make([]uint64, n), stamps: make([]uint64, chunks(n))}
+}
+
+// Reset empties the heap for a new generation of regions: the state
+// NewHeap builds, still observed by the same accessor. It keeps three
+// promises.
+//
+//   - No version counter repeats a value: every region of the new
+//     generation starts its counters, and its chunk stamps, past every
+//     counter of the old one, so a capture taken before the Reset never
+//     shares a chunk with, or is proven equal by version to, one taken
+//     after it.
+//   - Region handles of the old generation are poisoned: their slices
+//     and heap are nil, so a stale access panics, before it is counted
+//     or billed, instead of reading the new generation's data.
+//   - The old generation's storage serves same-length allocations of the
+//     new one (zeroed first); storage the new generation does not take
+//     is dropped at the following Reset.
+func (h *Heap) Reset() {
+	base := h.imageVer
+	for _, s := range h.spans {
+		base = max(base, s.liveVer, s.imageVer)
+	}
+	h.imageVer, h.verBase = base+1, base+1
+	clear(h.spare)
+	h.spare = h.spare[:0]
+	for i, s := range h.spans {
+		h.spare = append(h.spare, storage{live: s.live, image: s.image, stamps: s.stamps})
+		h.regions[i].(interface{ poison() }).poison()
+	}
+	clear(h.regions)
+	clear(h.spans)
+	h.regions, h.spans = h.regions[:0], h.spans[:0]
+	clear(h.imgMarks)
+	h.imgMarks = h.imgMarks[:0]
+	h.next = LineSize
+	h.lastFind, h.lastBase, h.lastEnd = nil, 0, 0
+	h.ops, h.stopAt, h.onStop = 0, 0, nil
+}
+
+// DropSpare lets go of the storage the last Reset kept for the new
+// generation and that it has not taken.
+func (h *Heap) DropSpare() {
+	clear(h.spare)
+	h.spare = h.spare[:0]
+}
+
+// poison detaches the region from its heap and storage (Heap.Reset).
+func (r *Words[T]) poison() {
+	r.h, r.span.live, r.span.image, r.stamps = nil, nil, nil, nil
+	r.live, r.image = nil, nil
 }
 
 // Name implements Region.
@@ -586,6 +694,7 @@ func (r *Words[T]) Live() []T {
 // ImageWords implements Region.
 func (s *span) ImageWords() []uint64 {
 	s.imageVer++
+	s.allStamp = s.imageVer
 	s.h.imageVer++
 	return s.image
 }
@@ -601,6 +710,9 @@ func (s *span) writeback(off, n int) {
 	lo, hi := off/8, min((off+n+7)/8, len(s.live))
 	s.imageVer++
 	copy(s.image[lo:hi], s.live[lo:hi])
+	for c := lo / ChunkWords; c*ChunkWords < hi; c++ {
+		s.stamps[c] = s.imageVer
+	}
 }
 
 // restore copies the whole image into the live slice (restart).
@@ -612,6 +724,7 @@ func (s *span) restore() {
 // syncImage copies the whole live slice into the image.
 func (s *span) syncImage() {
 	s.imageVer++
+	s.allStamp = s.imageVer
 	copy(s.image, s.live)
 }
 
@@ -636,47 +749,100 @@ func HashWord(h, v uint64) uint64 {
 // ImageState is a copy-on-write snapshot of every region's persistent
 // image — the only heap state a crashed machine restarts from. Entries
 // are immutable once created and are shared between successive
-// snapshots of the same heap: SnapshotImages reuses the previous
-// snapshot's entry for any region whose image version counter has not
-// moved, so capturing a crash point that persisted little since the
-// last one copies only the regions that actually changed.
+// snapshots of the same heap at two levels: SnapshotImages reuses the
+// previous snapshot's entry for any region whose image version has not
+// moved, and within a region that did change it copies only the
+// ChunkWords-word chunks mutated since the previous snapshot, sharing
+// the others. Capturing a crash point that persisted little since the
+// last one therefore copies little more than what actually changed.
 type ImageState struct {
 	src     *Heap
 	regions []*imageRegion
 	hash    uint64
 }
 
-// imageRegion is one region's image words; ver is the region's image
-// version at capture time and hash is the content hash (HashWord chain).
-// An imageRegion is never mutated after SnapshotImages returns it.
+// imageRegion is one region's image words as ChunkWords-word chunks; ver
+// is the region's image version at capture time and hash chains the
+// chunk hashes. An imageRegion is never mutated after SnapshotImages
+// returns it.
 type imageRegion struct {
+	chunks []imageChunk
+	ver    uint64
+	hash   uint64
+}
+
+// imageChunk is one chunk of image words with its content hash (a
+// HashWord chain). Chunks shared between captures share words.
+type imageChunk struct {
 	words []uint64
-	ver   uint64
 	hash  uint64
+}
+
+// same reports whether two chunks are one shared chunk.
+func (c imageChunk) same(d imageChunk) bool {
+	return len(c.words) == len(d.words) && unsafe.SliceData(c.words) == unsafe.SliceData(d.words)
+}
+
+// shares reports whether a region entry e of a previous capture can
+// lend chunks to s: the same number of chunks of the same lengths. Which
+// chunks it lends is the stamps' decision.
+func (s *span) shares(e *imageRegion) bool {
+	if len(e.chunks) != len(s.stamps) {
+		return false
+	}
+	last := len(e.chunks) - 1
+	return last < 0 || len(e.chunks[last].words) == len(s.image)-last*ChunkWords
 }
 
 // SnapshotImages captures the persistent images of all regions. If prev
 // is a snapshot of the same heap, any region whose image version is
-// unchanged since prev shares prev's entry instead of copying (the
-// version counters are bumped by every image-mutating path, so an equal
-// version proves equal contents).
+// unchanged since prev shares prev's entry instead of copying, and a
+// changed region shares every chunk whose stamp is not newer than prev's
+// entry (the version counters and stamps are moved by every
+// image-mutating path, so an unmoved one proves unchanged contents).
 func (h *Heap) SnapshotImages(prev *ImageState) *ImageState {
 	st := &ImageState{src: h, regions: make([]*imageRegion, len(h.spans))}
 	share := prev != nil && prev.src == h && len(prev.regions) <= len(h.spans)
 	hash := hashSeed
 	for i, s := range h.spans {
-		if share && i < len(prev.regions) && prev.regions[i].ver == s.imageVer {
-			st.regions[i] = prev.regions[i]
-		} else {
-			e := &imageRegion{words: append([]uint64(nil), s.image...), ver: s.imageVer}
-			eh := hashSeed
-			for _, w := range e.words {
-				eh = HashWord(eh, w)
+		var pe *imageRegion
+		if share && i < len(prev.regions) {
+			pe = prev.regions[i]
+			if pe.ver == s.imageVer {
+				st.regions[i] = pe
+				hash = HashWord(hash, pe.hash)
+				continue
 			}
-			e.hash = eh
-			st.regions[i] = e
+			if !s.shares(pe) {
+				pe = nil
+			}
 		}
-		hash = HashWord(hash, st.regions[i].hash)
+		// One buffer holds every chunk this capture copies.
+		n := 0
+		for c := range s.stamps {
+			if pe == nil || s.stamp(c) > pe.ver {
+				n += min(ChunkWords, len(s.image)-c*ChunkWords)
+			}
+		}
+		buf := make([]uint64, n)
+		e := &imageRegion{chunks: make([]imageChunk, len(s.stamps)), ver: s.imageVer, hash: hashSeed}
+		for c := range s.stamps {
+			if pe != nil && s.stamp(c) <= pe.ver {
+				e.chunks[c] = pe.chunks[c]
+			} else {
+				w := s.image[c*ChunkWords : min((c+1)*ChunkWords, len(s.image))]
+				k := copy(buf, w)
+				ch := imageChunk{words: buf[:k:k], hash: hashSeed}
+				buf = buf[k:]
+				for _, x := range ch.words {
+					ch.hash = HashWord(ch.hash, x)
+				}
+				e.chunks[c] = ch
+			}
+			e.hash = HashWord(e.hash, e.chunks[c].hash)
+		}
+		st.regions[i] = e
+		hash = HashWord(hash, e.hash)
 	}
 	st.hash = hash
 	return st
@@ -710,7 +876,8 @@ func (h *Heap) RestoreImages(st *ImageState) {
 			len(st.regions), len(h.spans)))
 	}
 	if len(h.imgMarks) != len(h.spans) {
-		h.imgMarks = make([]imgMark, len(h.spans))
+		h.imgMarks = slices.Grow(h.imgMarks[:0], len(h.spans))[:len(h.spans)]
+		clear(h.imgMarks)
 	}
 	for i, e := range st.regions {
 		s := h.spans[i]
@@ -718,13 +885,16 @@ func (h *Heap) RestoreImages(st *ImageState) {
 		if mk.entry == e && mk.liveVer == s.liveVer && mk.imageVer == s.imageVer {
 			continue
 		}
-		if len(e.words) != len(s.live) {
+		if !s.shares(e) {
 			panic(fmt.Sprintf("mem: image restore length mismatch on %q", s.name))
 		}
-		copy(s.live, e.words)
-		copy(s.image, e.words)
+		for c, ch := range e.chunks {
+			copy(s.live[c*ChunkWords:], ch.words)
+			copy(s.image[c*ChunkWords:], ch.words)
+		}
 		s.liveVer++
 		s.imageVer++
+		s.allStamp = s.imageVer
 		*mk = imgMark{entry: e, liveVer: s.liveVer, imageVer: s.imageVer}
 	}
 	h.imageVer++
@@ -735,9 +905,9 @@ func (h *Heap) RestoreImages(st *ImageState) {
 func (a *ImageState) Hash() uint64 { return a.hash }
 
 // Equal reports whether two image snapshots are bit-identical. Shared
-// entries and same-heap same-version entries are proven equal without
-// touching the data; everything else falls back to a hash compare and
-// then a word compare.
+// entries and chunks, and same-heap same-version entries, are proven
+// equal without touching the data; everything else falls back to a hash
+// compare and then a word compare.
 func (a *ImageState) Equal(b *ImageState) bool {
 	if a == b {
 		return true
@@ -751,8 +921,17 @@ func (a *ImageState) Equal(b *ImageState) bool {
 		if ra == rb || (sameSrc && ra.ver == rb.ver) {
 			continue
 		}
-		if ra.hash != rb.hash || !slices.Equal(ra.words, rb.words) {
+		if ra.hash != rb.hash || len(ra.chunks) != len(rb.chunks) {
 			return false
+		}
+		for c, ca := range ra.chunks {
+			cb := rb.chunks[c]
+			if ca.same(cb) {
+				continue
+			}
+			if ca.hash != cb.hash || !slices.Equal(ca.words, cb.words) {
+				return false
+			}
 		}
 	}
 	return true

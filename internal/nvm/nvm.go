@@ -283,6 +283,18 @@ func (h *Hetero) Name() string { return "Hetero NVM/DRAM" }
 // Reset implements System.
 func (h *Hetero) Reset() { h.pages.reset() }
 
+// Renew returns h to the state NewHetero(dramCacheBytes) builds, on its
+// own storage: the page tier emptied and every tiered range dropped.
+// dramCacheBytes must give the page tier its current size; Renew panics
+// if it does not.
+func (h *Hetero) Renew(dramCacheBytes int) {
+	if n := uint64(pageSets(dramCacheBytes)); n != h.pages.nsets {
+		panic(fmt.Sprintf("nvm: Renew from %d page sets to %d", h.pages.nsets, n))
+	}
+	h.tiered = h.tiered[:0]
+	h.pages.reset()
+}
+
 // PersistModel implements System.
 func (h *Hetero) PersistModel() DeviceModel { return h.nvm }
 
@@ -311,17 +323,18 @@ type pageWay struct {
 	use   uint64
 }
 
+// pageAssoc is the page tier's associativity.
+const pageAssoc = 8
+
+// pageSets returns the set count of a page tier of capacity bytes.
+func pageSets(capacity int) int { return max(capacity/PageSize, pageAssoc) / pageAssoc }
+
 func newPageTier(capacity int) *pageTier {
-	const assoc = 8
-	npages := capacity / PageSize
-	if npages < assoc {
-		npages = assoc
-	}
-	nsets := npages / assoc
+	nsets := pageSets(capacity)
 	return &pageTier{
 		nsets:  uint64(nsets),
-		assoc:  assoc,
-		ways:   make([]pageWay, nsets*assoc),
+		assoc:  pageAssoc,
+		ways:   make([]pageWay, nsets*pageAssoc),
 		filled: make([]uint64, (nsets+63)/64),
 	}
 }
@@ -383,8 +396,12 @@ func (t *pageTier) appendLRU(dst []uint64) []uint64 {
 }
 
 func (t *pageTier) reset() {
-	for i := range t.ways {
-		t.ways[i] = pageWay{}
+	// Only a set filled marks can hold a page, so only those are cleared.
+	for i, word := range t.filled {
+		for ; word != 0; word &= word - 1 {
+			s := i<<6 | bits.TrailingZeros64(word)
+			clear(t.ways[s*t.assoc : (s+1)*t.assoc])
+		}
 	}
 	clear(t.filled)
 	// A power cycle also restarts the LRU clock: a machine restarted

@@ -1,6 +1,8 @@
 package nvm
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"adcc/internal/mem"
@@ -127,4 +129,64 @@ func TestTierRegionHelper(t *testing.T) {
 	if h.isTiered(r.Base() + mem.Addr(r.Bytes())) {
 		t.Fatal("tiering covers past the region end")
 	}
+}
+
+// touchScript drives a page tier with n random touches over a page
+// range a few times its capacity and returns the hit pattern.
+func touchScript(tier *pageTier, rng *rand.Rand, n int) []bool {
+	pages := 3 * len(tier.ways)
+	hits := make([]bool, n)
+	for i := range hits {
+		hits[i] = tier.touch(mem.Addr(rng.Intn(pages) * PageSize))
+	}
+	return hits
+}
+
+// TestPageTierResetMatchesNew: whatever a page tier saw before, reset
+// leaves it indistinguishable from a new one — the same hits and the
+// same canonical LRU on any touch sequence after it — although it
+// clears only the sets its filled bitmap marks.
+func TestPageTierResetMatchesNew(t *testing.T) {
+	const capacity = 64 * PageSize // 8 sets of 8 ways
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		used := newPageTier(capacity)
+		touchScript(used, rng, rng.Intn(300))
+		used.reset()
+		fresh := newPageTier(capacity)
+		after := rng.Int63()
+		n := rng.Intn(300)
+		got := touchScript(used, rand.New(rand.NewSource(after)), n)
+		want := touchScript(fresh, rand.New(rand.NewSource(after)), n)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: hits after reset differ from a new tier's", seed)
+		}
+		if g, w := used.appendLRU(nil), fresh.appendLRU(nil); !slices.Equal(g, w) {
+			t.Fatalf("seed %d: LRU after reset %v, new tier %v", seed, g, w)
+		}
+	}
+}
+
+// TestHeteroRenewMatchesNew: Renew drops the tiered ranges and empties
+// the page tier, allocating nothing; a size change panics.
+func TestHeteroRenewMatchesNew(t *testing.T) {
+	h := NewHetero(1 << 20)
+	h.SetTiered(0, 1<<20)
+	for a := mem.Addr(0); a < 1<<20; a += PageSize {
+		h.ReadCost(a, 64)
+	}
+	h.Renew(1 << 20)
+	fresh := NewHetero(1 << 20)
+	if got, want := h.ReadCost(0, 64), fresh.ReadCost(0, 64); got != want {
+		t.Errorf("after Renew an untiered read costs %d, on a new system %d", got, want)
+	}
+	if n := testing.AllocsPerRun(20, func() { h.SetTiered(0, 4096); h.ReadCost(0, 64); h.Renew(1 << 20) }); n != 0 {
+		t.Errorf("Renew: %v allocs, want 0", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Renew to another size did not panic")
+		}
+	}()
+	h.Renew(2 << 20)
 }
